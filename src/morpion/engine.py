@@ -15,8 +15,24 @@ same-direction line, so applying a move can only
 * validate segments covering the new cross that previously had two empty
   points.
 
-All three groups are local to the move, which keeps apply/undo cheap enough
-for playout-heavy search.
+All three groups are local to the move.  Their geometry comes from segment
+tables held per line length and shared by every board in the process:
+
+* for a point, the ``4 * alpha`` segments through it, each with its points,
+  direction, line key and offset;
+* for a drawn line, the same-direction segments in its conflict window under
+  the D rule and under the T rule.
+
+The tables fill lazily, on the first use of a point or line.  They gain
+rows only for points that receive a cross or anchor a placed line, through
+the constructors or a legal :meth:`Board.apply` (an illegal move is rejected
+before any lookup), and windows only for drawn lines, so their size is
+bounded by the points that boards in the process have covered.
+
+``apply``, ``undo`` and the legal-index rebuild read only from the tables.
+:meth:`Board.legality_failure` and :meth:`Board.check_invariants` derive
+everything from :func:`~morpion.geometry.segment_through` and
+``Segment.points`` instead, as an independent reference.
 """
 
 from __future__ import annotations
@@ -79,6 +95,80 @@ class GameRecord:
     metadata: dict[str, str] = field(default_factory=dict)
 
 
+# (segment, its points, direction, line key, offset)
+_Row = tuple[Segment, tuple[Point, ...], Direction, int, int]
+
+
+class _Geometry:
+    """Segment tables for one line length; each lookup fills what it misses.
+
+    :meth:`through` gives the rows of the segments covering a point in
+    (direction, shift) order, :meth:`row` the row of one segment, and
+    :meth:`window` the same-direction segments that a drawn line rules out
+    under the D or T rule, the line itself included, in offset order.
+    """
+
+    __slots__ = ("alpha", "by_point", "by_segment", "windows")
+
+    def __init__(self, alpha: int):
+        self.alpha = alpha
+        self.by_point: dict[Point, tuple[_Row, ...]] = {}
+        self.by_segment: dict[Segment, _Row] = {}
+        self.windows: tuple[dict[Segment, tuple[Segment, ...]], ...] = ({}, {})
+
+    def through(self, point: Point) -> tuple[_Row, ...]:
+        rows = self.by_point.get(point)
+        if rows is None:
+            alpha = self.alpha
+            found = []
+            for d in DIRECTIONS:
+                for shift in range(alpha):
+                    seg = segment_through(d, point, shift, alpha)
+                    row = self.by_segment.get(seg)
+                    if row is None:
+                        row = (seg, seg.points(), d, seg.key, seg.offset)
+                        self.by_segment[seg] = row
+                    found.append(row)
+            rows = self.by_point[point] = tuple(found)
+        return rows
+
+    def row(self, seg: Segment) -> _Row:
+        row = self.by_segment.get(seg)
+        if row is None:
+            self.through(seg.anchor)
+            row = self.by_segment[seg]
+        return row
+
+    def window(self, row: _Row, touching: bool) -> tuple[Segment, ...]:
+        table = self.windows[touching]
+        seg, _, d, key, off = row
+        out = table.get(seg)
+        if out is None:
+            reach = _reach(self.alpha, touching)
+            out = table[seg] = tuple(
+                Segment(d, point_at(d, key, o), self.alpha)
+                for o in range(off - reach, off + reach + 1)
+            )
+        return out
+
+
+# one per line length, shared by every board in the process; a row depends
+# only on the lattice, so the order in which boards fill the tables is moot
+_GEOMETRY: dict[int, _Geometry] = {}
+
+
+def _geometry(alpha: int) -> _Geometry:
+    geo = _GEOMETRY.get(alpha)
+    if geo is None:
+        geo = _GEOMETRY[alpha] = _Geometry(alpha)
+    return geo
+
+
+def _reach(alpha: int, touching: bool) -> int:
+    """Largest offset gap at which two same-direction lines still conflict."""
+    return alpha - 2 if touching else alpha - 1
+
+
 class Board:
     """Mutable game state with an incrementally maintained legal-move index.
 
@@ -93,6 +183,8 @@ class Board:
         "moves",
         "lines",
         "cover_count",
+        "_geo",
+        "_reach",
         "_line_offsets",
         "_legal",
         "_trail",
@@ -109,10 +201,12 @@ class Board:
         self.lines: list[Segment] = []
         # lines covering each point; absent means zero
         self.cover_count: dict[Point, int] = {}
+        self._geo = _geometry(variant.alpha)
+        self._reach = _reach(variant.alpha, variant.touching_allowed)
         # (direction, line_key) -> sorted anchor offsets of placed lines
         self._line_offsets: dict[tuple[Direction, int], list[int]] = {}
-        # legal segment -> its unique empty point
-        self._legal: dict[Segment, Point] = {}
+        # legal segment -> the move that draws it
+        self._legal: dict[Segment, Move] = {}
         self._trail: list[tuple] = []
         self._rebuild_legal()
 
@@ -138,7 +232,7 @@ class Board:
                     raise ValueError(f"segment {seg} covers empty point {p}")
             if board._conflicts(seg.direction, seg.key, seg.offset):
                 raise ValueError(f"segment {seg} conflicts with an earlier same-direction line")
-            board._register_line(seg)
+            board._register_line(board._geo.row(seg))
             board.lines.append(seg)
         board._rebuild_legal()
         return board
@@ -162,7 +256,7 @@ class Board:
             board.crosses.add(move.cross)
         for move in moves:
             seg = move.segment(alpha)
-            board._register_line(seg)
+            board._register_line(board._geo.row(seg))
             board.lines.append(seg)
             board.moves.append(move)
         board._rebuild_legal()
@@ -176,11 +270,7 @@ class Board:
 
     def legal_moves(self) -> list[Move]:
         """All legal moves, canonically sorted by (cross, direction, anchor)."""
-        moves = [
-            Move(empty, seg.direction, seg.anchor) for seg, empty in self._legal.items()
-        ]
-        moves.sort()
-        return moves
+        return sorted(self._legal.values())
 
     @property
     def legal_count(self) -> int:
@@ -196,7 +286,7 @@ class Board:
 
     def legality_failure(self, move: Move) -> str | None:
         seg = move.segment(self.variant.alpha)
-        if self._legal.get(seg) == move.cross:
+        if self._legal.get(seg) == move:
             return None
         if move.cross in self.crosses:
             return f"(a): point {move.cross[0]},{move.cross[1]} already bears a cross"
@@ -225,70 +315,50 @@ class Board:
     # -- mutation --------------------------------------------------------
 
     def apply(self, move: Move) -> "Board":
-        alpha = self.variant.alpha
-        seg = move.segment(alpha)
-        if self._legal.get(seg) != move.cross:
+        seg = Segment(move.direction, move.anchor, self.variant.alpha)
+        legal = self._legal
+        if legal.get(seg) != move:
             reason = self.legality_failure(move)
             raise IllegalMoveError(reason or "not currently legal", move)
 
-        removed: list[tuple[Segment, Point]] = []
-        added: list[Segment] = []
+        geo = self._geo
+        cross = move.cross
+        through = geo.through(cross)
+        line = geo.row(seg)
+        removed: list[tuple[Segment, Move]] = []
 
-        self.crosses.add(move.cross)
+        # segments through the cross, whose single empty point was just
+        # filled, then segments conflicting with the drawn line
+        for row in through:
+            old = legal.pop(row[0], None)
+            if old is not None:
+                removed.append((row[0], old))
+        for cand in geo.window(line, self.variant.touching_allowed):
+            old = legal.pop(cand, None)
+            if old is not None:
+                removed.append((cand, old))
 
-        # segments whose single empty point was just filled
-        for d in DIRECTIONS:
-            for shift in range(alpha):
-                cand = segment_through(d, move.cross, shift, alpha)
-                if self._legal.get(cand) == move.cross:
-                    del self._legal[cand]
-                    removed.append((cand, move.cross))
-
-        # segments conflicting with the drawn line
-        window = alpha - 2 if self.variant.touching_allowed else alpha - 1
-        d, key, off = seg.direction, seg.key, seg.offset
-        for o in range(off - window, off + window + 1):
-            cand = Segment(d, point_at(d, key, o), alpha)
-            empty = self._legal.pop(cand, None)
-            if empty is not None:
-                removed.append((cand, empty))
-
-        self._register_line(seg)
+        self.crosses.add(cross)
+        self._register_line(line)
         self.lines.append(seg)
         self.moves.append(move)
-
-        # segments covering the new cross that may have become legal
-        crosses = self.crosses
-        for d in DIRECTIONS:
-            for shift in range(alpha):
-                cand = segment_through(d, move.cross, shift, alpha)
-                empty = None
-                for p in cand.points():
-                    if p not in crosses:
-                        if empty is not None:
-                            empty = None
-                            break
-                        empty = p
-                else:
-                    if empty is not None and not self._conflicts(d, cand.key, cand.offset):
-                        self._legal[cand] = empty
-                        added.append(cand)
-
-        self._trail.append((move, seg, removed, added))
+        added = self._enter_legal(through)
+        self._trail.append((move, line, removed, added))
         return self
 
     def undo(self) -> "Board":
         if not self._trail:
             raise IndexError("undo on a board with no moves")
-        move, seg, removed, added = self._trail.pop()
+        move, line, removed, added = self._trail.pop()
+        legal = self._legal
         for cand in added:
-            del self._legal[cand]
-        self._unregister_line(seg)
+            del legal[cand]
+        self._unregister_line(line)
         self.lines.pop()
         self.moves.pop()
         self.crosses.discard(move.cross)
-        for cand, empty in removed:
-            self._legal[cand] = empty
+        for cand, old in removed:
+            legal[cand] = old
         return self
 
     def copy(self) -> "Board":
@@ -299,6 +369,8 @@ class Board:
         clone.moves = list(self.moves)
         clone.lines = list(self.lines)
         clone.cover_count = dict(self.cover_count)
+        clone._geo = self._geo
+        clone._reach = self._reach
         clone._line_offsets = {k: list(v) for k, v in self._line_offsets.items()}
         clone._legal = dict(self._legal)
         clone._trail = list(self._trail)
@@ -310,29 +382,51 @@ class Board:
         offs = self._line_offsets.get((direction, key))
         if not offs:
             return False
-        window = self.variant.alpha - 2 if self.variant.touching_allowed else self.variant.alpha - 1
+        reach = self._reach
         i = bisect.bisect_left(offs, offset)
-        if i < len(offs) and offs[i] - offset <= window:
+        if i < len(offs) and offs[i] - offset <= reach:
             return True
-        if i > 0 and offset - offs[i - 1] <= window:
+        if i > 0 and offset - offs[i - 1] <= reach:
             return True
         return False
 
-    def _register_line(self, seg: Segment) -> None:
-        offs = self._line_offsets.setdefault((seg.direction, seg.key), [])
-        bisect.insort(offs, seg.offset)
+    def _enter_legal(self, rows: Iterable[_Row]) -> list[Segment]:
+        """Index the segments among ``rows`` that are now legal; return them.
+
+        A segment is legal when exactly one of its points is empty and it
+        conflicts with no placed same-direction line.
+        """
+        crosses = self.crosses
+        legal = self._legal
+        entered = []
+        for seg, pts, d, key, off in rows:
+            empty = None
+            for p in pts:
+                if p not in crosses:
+                    if empty is not None:
+                        break
+                    empty = p
+            else:
+                if empty is not None and not self._conflicts(d, key, off):
+                    legal[seg] = Move(empty, d, seg.anchor)
+                    entered.append(seg)
+        return entered
+
+    def _register_line(self, row: _Row) -> None:
+        _, pts, d, key, off = row
+        bisect.insort(self._line_offsets.setdefault((d, key), []), off)
         cover = self.cover_count
-        for p in seg.points():
+        for p in pts:
             cover[p] = cover.get(p, 0) + 1
 
-    def _unregister_line(self, seg: Segment) -> None:
-        key = (seg.direction, seg.key)
-        offs = self._line_offsets[key]
-        offs.remove(seg.offset)
+    def _unregister_line(self, row: _Row) -> None:
+        _, pts, d, key, off = row
+        offs = self._line_offsets[d, key]
+        offs.remove(off)
         if not offs:
-            del self._line_offsets[key]
+            del self._line_offsets[d, key]
         cover = self.cover_count
-        for p in seg.points():
+        for p in pts:
             n = cover[p] - 1
             if n:
                 cover[p] = n
@@ -340,31 +434,16 @@ class Board:
                 del cover[p]
 
     def _rebuild_legal(self) -> None:
-        alpha = self.variant.alpha
         self._legal.clear()
-        seen: set[Segment] = set()
+        geo = self._geo
         for cross in self.crosses:
-            for d in DIRECTIONS:
-                for shift in range(alpha):
-                    cand = segment_through(d, cross, shift, alpha)
-                    if cand in seen:
-                        continue
-                    seen.add(cand)
-                    empty = None
-                    ok = True
-                    for p in cand.points():
-                        if p not in self.crosses:
-                            if empty is not None:
-                                ok = False
-                                break
-                            empty = p
-                    if ok and empty is not None and not self._conflicts(d, cand.key, cand.offset):
-                        self._legal[cand] = empty
+            self._enter_legal(geo.through(cross))
 
     def check_invariants(self) -> None:
         """Full consistency audit; raises AssertionError on any mismatch.
 
-        O(board size); meant for tests, not search loops.
+        O(board size); meant for tests, not search loops.  Derives every
+        expectation from the segment geometry, never from the shared tables.
         """
         alpha = self.variant.alpha
         assert self.crosses == set(self.initial) | {m.cross for m in self.moves}, (
@@ -377,12 +456,17 @@ class Board:
                 "line list out of step with move history"
             )
         cover: dict[Point, int] = {}
+        offsets: dict[tuple[Direction, int], list[int]] = {}
         for seg in self.lines:
             assert seg.length == alpha, f"line {seg} has wrong length"
             for p in seg.points():
                 assert p in self.crosses, f"line {seg} covers empty point {p}"
                 cover[p] = cover.get(p, 0) + 1
+            offsets.setdefault((seg.direction, seg.key), []).append(seg.offset)
         assert cover == self.cover_count, "cover counts out of sync"
+        assert {k: sorted(v) for k, v in offsets.items()} == self._line_offsets, (
+            "line offsets out of sync"
+        )
         limit = 1 if self.variant.touching_allowed else 0
         for i, a in enumerate(self.lines):
             for b in self.lines[i + 1 :]:
@@ -390,15 +474,15 @@ class Board:
                 assert rel != OVERLAPPING, f"lines {a} and {b} overlap"
                 if limit == 0:
                     assert rel != TOUCHING, f"lines {a} and {b} touch under the D rule"
-        stored = dict(self._legal)
-        self._rebuild_legal()
-        fresh = dict(self._legal)
-        self._legal = stored
-        assert stored == fresh, "incremental legal index diverged from rebuild"
-
-
-def initial_board(variant: Variant) -> Board:
-    return Board(variant)
+        fresh: dict[Segment, Move] = {}
+        for cross in self.crosses:
+            for d in DIRECTIONS:
+                for shift in range(alpha):
+                    seg = segment_through(d, cross, shift, alpha)
+                    empty = [p for p in seg.points() if p not in self.crosses]
+                    if len(empty) == 1 and not self._conflicts(d, seg.key, seg.offset):
+                        fresh[seg] = Move(empty[0], d, seg.anchor)
+        assert fresh == self._legal, "incremental legal index diverged from rebuild"
 
 
 def replay(record: GameRecord, board: Board | None = None) -> Board:

@@ -236,7 +236,6 @@ _exact_cache: dict[tuple, int] = {}
 
 
 def _canonical_counts(counts: dict[Direction, int]) -> tuple[int, ...]:
-    used = frozenset(d for d, c in counts.items() if c)
     seen = {tuple(counts[d] for d in DIRECTIONS)}
     frontier = list(seen)
     while frontier:
@@ -250,7 +249,6 @@ def _canonical_counts(counts: dict[Direction, int]) -> tuple[int, ...]:
                 if itup not in seen:
                     seen.add(itup)
                     frontier.append(itup)
-    del used
     return min(seen)
 
 
@@ -446,10 +444,6 @@ def grid_packing(n: int) -> Layout:
     if n < 1:
         raise ValueError("grid side must be >= 1")
     return pack_runs(grid_points(n))
-
-
-def rectangle_points(w: int, h: int) -> set[Point]:
-    return {(x, y) for x in range(w) for y in range(h)}
 
 
 def octagon_points(w: int, h: int, cuts: tuple[int, int, int, int]) -> set[Point]:

@@ -30,7 +30,7 @@ import re
 from dataclasses import dataclass
 
 from .engine import Board, GameRecord, Move, replay
-from .geometry import Direction, Segment, Variant
+from .geometry import SUPPORTED_ALPHAS, Direction, Segment, Variant
 from .linecover import Layout, LayoutError, verify_layout
 
 RECORD_MAGIC = "morpion-record"
@@ -188,8 +188,8 @@ def parse_layout(text: str) -> Layout:
             f"unsupported layout version v{header.group(1)} (supported: v1)", 1
         )
     alpha = int(header.group(2))
-    if alpha < 3:
-        raise RecordParseError(f"alpha={alpha} out of range (need alpha >= 3)", 1)
+    if alpha not in SUPPORTED_ALPHAS:
+        raise RecordParseError(f"alpha={alpha} out of range (supported: 3..6)", 1)
 
     segments = []
     for lineno, raw in enumerate(lines[1:], start=2):

@@ -23,7 +23,6 @@ import numpy as np
 
 from .engine import Board, GameRecord, Move, replay
 from .geometry import DIRECTIONS, Variant, initial_crosses
-from .potential import potential_report
 
 FIVE_D_LINE_BOUND = 121
 FIVE_D_POTENTIAL_BOUND = 136
@@ -91,7 +90,7 @@ def check_record_bounds(record: GameRecord, board: Board | None = None) -> Board
     """
     n = len(record.moves)
     if record.variant.alpha == 5 and not record.variant.touching_allowed:
-        if n > FIVE_D_LINE_BOUND or n > FIVE_D_POTENTIAL_BOUND:
+        if n > FIVE_D_LINE_BOUND:
             raise AssertionError(
                 f"engine bug: produced a {n}-move 5D game, above the proven maximum"
             )
@@ -182,10 +181,6 @@ def playout_sweep(
 # -- beam search ------------------------------------------------------------
 
 
-def potential_total(board: Board) -> float:
-    return float(potential_report(board).total)
-
-
 def beam_search(
     variant: Variant,
     width: int,
@@ -195,11 +190,12 @@ def beam_search(
 ) -> SearchResult:
     """Level-synchronous beam keyed by a board heuristic.
 
-    The default heuristic is the board's total potential.  With length-5
-    lines that total is the same for every board at a given depth (each move
-    adds a 4-potential cross and spends 5), so ranking falls through to the
-    seeded jitter tie-break and the beam explores a reproducible random
-    sample of width lines.  A custom heuristic changes that.
+    Without a heuristic every candidate scores 0, so ranking falls through
+    to the seeded jitter tie-break and the beam explores a reproducible
+    random sample of width lines.  (Total potential would rank no better:
+    with length-5 lines it is the same for every board at a given depth,
+    since each move adds a 4-potential cross and spends 5.)  A custom
+    heuristic changes that.
 
     Duplicate positions within a level (same crosses and lines via a
     different move order) are merged before selection.
@@ -509,12 +505,12 @@ def exhaustive_solve(
         value = 0
         # Child order cannot change the value, so take the move index as-is
         # and skip the canonical sort.
-        for seg, empty in list(board._legal.items()):
+        for move in list(board._legal.values()):
             nodes += 1
             if nodes > node_budget:
                 budget_hit = True
                 break
-            board.apply(Move(empty, seg.direction, seg.anchor))
+            board.apply(move)
             child = 1 + dfs()
             if child > value:
                 value = child

@@ -180,6 +180,14 @@ def test_malformed_record_exits_1(capsys, tmp_path):
     assert "unsupported record version" in err
 
 
+def test_layout_with_unsupported_alpha_exits_1(capsys, tmp_path):
+    path = tmp_path / "huge.lay"
+    path.write_text("morpion-layout v1 alpha=1000000000\ndir=E anchor=0,0\n")
+    code, _, err = run(capsys, "render", str(path))
+    assert code == 1
+    assert "out of range" in err
+
+
 def test_cli_record_files_parse_with_library(capsys, tmp_path):
     out_path = tmp_path / "n.rec"
     code, out, _ = run(

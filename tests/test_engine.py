@@ -14,13 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morpion.engine import Board, GameRecord, IllegalMoveError, Move, initial_board, replay
+from morpion.engine import Board, GameRecord, IllegalMoveError, Move, replay
 from morpion.geometry import (
     DIRECTIONS,
     FIVE_D,
     FIVE_T,
     OVERLAPPING,
     SIX_D,
+    SIX_T,
     TOUCHING,
     Direction,
     Segment,
@@ -33,6 +34,11 @@ from morpion.geometry import (
 # frozen oracle value: legal first moves on the standard 36-cross board,
 # 12 in each axis direction plus 2 on each diagonal
 INITIAL_LEGAL_5D = 28
+
+# every supported variant; 5D, 5T, 6D come first so their test ids stay variant0..2
+ALL_VARIANTS = [FIVE_D, FIVE_T, SIX_D, SIX_T] + [
+    Variant(alpha, touching) for alpha in (3, 4) for touching in (False, True)
+]
 
 
 def oracle_moves(board):
@@ -79,17 +85,46 @@ def test_initial_legal_moves_by_direction():
     assert counts == {Direction.E: 12, Direction.N: 12, Direction.NE: 2, Direction.SE: 2}
 
 
-@pytest.mark.parametrize("variant", [FIVE_D, FIVE_T, SIX_D])
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_legal_index_tracks_oracle_through_play(variant):
     rng = random.Random(11)
     board = Board(variant)
-    for _ in range(14):
+    applied = 0
+    while board.score < 14:
         moves = board.legal_moves()
         assert set(moves) == oracle_moves(board)
         if not moves:
             break
         board.apply(rng.choice(moves))
+        applied += 1
+        if applied % 3 == 0:
+            board.undo()
+            board.check_invariants()
     board.check_invariants()
+
+
+def test_boards_of_every_alpha_interleaved_match_oracle():
+    """Boards of different line lengths, played in turn in one process.
+
+    The segment tables are shared per process; the boards start from the
+    same 36 crosses, so rows filed under the wrong line length would show
+    up as legal-move sets that disagree with the oracle.
+    """
+    rng = random.Random(17)
+    start = initial_crosses(5)
+    boards = [Board(v, start) for v in ALL_VARIANTS] + [Board(FIVE_D), Board(SIX_T)]
+    for _ in range(10):
+        for board in boards:
+            moves = board.legal_moves()
+            assert set(moves) == oracle_moves(board)
+            if not moves:
+                continue
+            board.apply(rng.choice(moves))
+            if board.score > 1 and rng.random() < 0.3:
+                board.undo()
+                board.check_invariants()
+    for board in boards:
+        board.check_invariants()
 
 
 def test_first_move_example_legal():
@@ -265,12 +300,8 @@ def test_terminal_boards_have_no_oracle_moves(seed):
     assert oracle_moves(board) == set()
 
 
-def test_initial_board_helper_matches_constructor():
-    assert initial_board(FIVE_D).state_key() == Board(FIVE_D).state_key()
-    assert len(initial_board(SIX_D).crosses) == 48
-
-
 def test_six_variant_initial_moves_match_oracle():
     board = Board(SIX_D)
+    assert len(board.crosses) == 48
     assert set(board.legal_moves()) == oracle_moves(board)
     assert board.legal_count == 24

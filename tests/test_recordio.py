@@ -191,6 +191,11 @@ def test_layout_parse_errors():
         parse_layout("morpion-layout v2 alpha=5\n")
     with pytest.raises(RecordParseError):
         parse_layout("morpion-layout v1 alpha=2\n")
+    # refused from the header alone, before any alpha-sized allocation
+    for alpha in (7, 1_000_000_000):
+        with pytest.raises(RecordParseError) as err:
+            parse_layout(f"morpion-layout v1 alpha={alpha}\ndir=E anchor=0,0\n")
+        assert err.value.line == 1 and "out of range" in str(err.value)
     with pytest.raises(RecordParseError) as err:
         parse_layout("morpion-layout v1 alpha=5\ndir=Q anchor=0,0\n")
     assert err.value.line == 2
