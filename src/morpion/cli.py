@@ -32,7 +32,7 @@ from .recordio import (
     parse_record,
     render,
 )
-from .solver import DEFAULT_NODE_BUDGET, STRATEGIES, SearchConfig, solve
+from .solver import STRATEGIES, SearchConfig, solve
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,11 +57,15 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("solve", help="run a search strategy")
     c.add_argument("--variant", default="5D")
     c.add_argument("--strategy", default="random", choices=STRATEGIES)
-    c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--level", type=int, default=1, help="NMCS nesting level")
-    c.add_argument("--width", type=int, default=64, help="beam width")
-    c.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
-    c.add_argument("--time-budget", type=float, default=None, metavar="SECONDS")
+    # unset options keep SearchConfig's defaults; see _SOLVE_OPTIONS
+    c.add_argument("--seed", type=int, help=f"default {SearchConfig.seed}")
+    c.add_argument("--level", type=int, dest="nmcs_level", metavar="LEVEL",
+                   help=f"NMCS nesting level (default {SearchConfig.nmcs_level})")
+    c.add_argument("--width", type=int, dest="beam_width", metavar="WIDTH",
+                   help=f"beam width (default {SearchConfig.beam_width})")
+    c.add_argument("--node-budget", type=int, metavar="NODES",
+                   help=f"default {SearchConfig.node_budget}")
+    c.add_argument("--time-budget", type=float, metavar="SECONDS", help="NMCS only")
     c.add_argument("--out", help="write the best record file here")
 
     c = sub.add_parser("replay", help="replay a record file and summarize the board")
@@ -171,17 +175,30 @@ def _cmd_pack(args) -> int:
     return 0
 
 
+# the solve options each strategy reads; giving it any other is a usage error
+_SOLVE_OPTIONS = {
+    "random": ("seed",),
+    "greedy": ("seed",),
+    "beam": ("seed", "beam_width", "node_budget"),
+    "nmcs": ("seed", "nmcs_level", "node_budget", "time_budget"),
+    "exhaustive": ("node_budget",),
+}
+_SOLVE_FLAGS = {
+    "seed": "--seed",
+    "nmcs_level": "--level",
+    "beam_width": "--width",
+    "node_budget": "--node-budget",
+    "time_budget": "--time-budget",
+}
+
+
 def _cmd_solve(args) -> int:
     variant = Variant.from_name(args.variant)
-    config = SearchConfig(
-        seed=args.seed,
-        strategy=args.strategy,
-        beam_width=args.width,
-        nmcs_level=args.level,
-        time_budget=args.time_budget,
-        node_budget=args.node_budget,
-    )
-    result = solve(variant, config)
+    given = {k: getattr(args, k) for k in _SOLVE_FLAGS if getattr(args, k) is not None}
+    ignored = [_SOLVE_FLAGS[k] for k in given if k not in _SOLVE_OPTIONS[args.strategy]]
+    if ignored:
+        raise ValueError(f"--strategy {args.strategy} ignores {', '.join(ignored)}")
+    result = solve(variant, SearchConfig(strategy=args.strategy, **given))
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(emit_record(result.best_record))

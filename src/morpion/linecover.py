@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .geometry import (
     DIRECTIONS,
@@ -486,51 +486,66 @@ def _improve(layout: Layout, alpha: int = 5) -> Layout:
     new_line_count points beyond its own count plus the slack available).
     """
     segs = layout.segments()
+    # cover counts per point and offsets per lattice line, kept in step with
+    # segs so that each pass is linear in the layout
+    count: dict[Point, int] = {}
+    offsets: dict[tuple[Direction, int], list[int]] = {}
 
-    def line_mates(all_segs: Sequence[Segment], d: Direction, key: int) -> list[int]:
-        return sorted(
-            s.offset for s in all_segs if s.direction == d and s.key == key
-        )
+    def place(seg: Segment, sign: int) -> None:
+        for p in seg.points():
+            n = count.get(p, 0) + sign
+            if n:
+                count[p] = n
+            else:
+                del count[p]
+        line_offs = offsets.setdefault((seg.direction, seg.key), [])
+        if sign > 0:
+            line_offs.append(seg.offset)
+        else:
+            line_offs.remove(seg.offset)
+
+    for seg in segs:
+        place(seg, 1)
 
     # shift pass
     improved = True
     while improved:
         improved = False
-        cov = len(Layout.from_segments(segs, alpha).points())
-        for i, seg in enumerate(list(segs)):
-            others = segs[:i] + segs[i + 1 :]
-            other_pts: set[Point] = set()
-            for s in others:
-                other_pts.update(s.points())
-            mates = line_mates(others, seg.direction, seg.key)
+        for i, seg in enumerate(segs):
+            cov = len(count)
+            pts = seg.points()
+            mates = list(offsets[seg.direction, seg.key])
+            mates.remove(seg.offset)
+            # coverage without seg; a candidate adds its points that no
+            # other line covers
+            rest = cov - sum(1 for p in pts if count[p] == 1)
             best_seg, best_cov = seg, cov
             for delta in (-2, -1, 1, 2):
                 off = seg.offset + delta
                 if any(abs(off - o) < alpha for o in mates):
                     continue
                 cand = Segment(seg.direction, point_at(seg.direction, seg.key, off), alpha)
-                cand_cov = len(other_pts | set(cand.points()))
+                cand_cov = rest + sum(
+                    1 for p in cand.points() if count.get(p, 0) - (p in pts) == 0
+                )
                 if cand_cov < best_cov:
                     best_seg, best_cov = cand, cand_cov
             if best_seg != seg:
+                place(seg, -1)
+                place(best_seg, 1)
                 segs[i] = best_seg
-                cov = best_cov
                 improved = True
 
     # addition pass
     while True:
-        current = Layout.from_segments(segs, alpha)
-        pts = current.points()
-        n = len(segs)
-        slack = n + 36 - len(pts)
+        slack = len(segs) + 36 - len(count)
         best_add: Segment | None = None
         best_fresh = None
-        seen_lines = {(s.direction, s.key) for s in segs}
-        for d, key in sorted(seen_lines):
-            offs = line_mates(segs, d, key)
-            for off in (offs[0] - alpha, offs[-1] + alpha):
+        for d, key in sorted(offsets):
+            offs = offsets[d, key]
+            for off in (min(offs) - alpha, max(offs) + alpha):
                 cand = Segment(d, point_at(d, key, off), alpha)
-                fresh = sum(1 for p in cand.points() if p not in pts)
+                fresh = sum(1 for p in cand.points() if p not in count)
                 if best_fresh is None or fresh < best_fresh or (
                     fresh == best_fresh and cand < best_add  # type: ignore[operator]
                 ):
@@ -538,6 +553,7 @@ def _improve(layout: Layout, alpha: int = 5) -> Layout:
         if best_add is None or best_fresh is None or best_fresh > slack + 1:
             break
         segs.append(best_add)
+        place(best_add, 1)
 
     return Layout.from_segments(segs, alpha)
 

@@ -15,14 +15,16 @@ that can only mean an engine bug.
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass
+from operator import itemgetter, xor
 from typing import Callable
 
 import numpy as np
 
 from .engine import Board, GameRecord, Move, replay
-from .geometry import DIRECTIONS, Variant, initial_crosses
+from .geometry import DIRECTIONS, Direction, Point, Variant, initial_crosses
 
 FIVE_D_LINE_BOUND = 121
 FIVE_D_POTENTIAL_BOUND = 136
@@ -384,81 +386,118 @@ _SYMMETRIES = (
     (0, 1, 1, 0), (-1, 0, 0, 1), (1, 0, 0, -1), (0, -1, -1, 0),
 )
 
+_ZOBRIST_SEED = 0x6D6F7270696F6E  # fixed, so node counts repeat run to run
 
-def _state_key_fn(board: Board) -> Callable[[Board], tuple]:
-    """Build the transposition key for states reached from ``board``.
+# (cross images, line images, hash delta), one entry per frame in each
+_MoveImages = tuple[tuple, tuple, tuple[int, ...]]
 
-    States reached by different move orders collapse to one key, and so do
-    states related by any lattice symmetry that maps the initial crosses
-    onto themselves (all eight for the standard cross shape; only the
-    identity for an arbitrary synthetic board, which degrades to plain
-    transposition merging).  Coordinates are doubled and re-centred on the
-    initial bounding box so the symmetry centre stays integral.
+
+class _SymmetricKeys:
+    """Transposition keys for the states reached from one board.
+
+    A state is its set of crosses and its set of lines; move order is
+    forgotten.  Two states share a key exactly when a symmetry of the
+    initial crosses maps one onto the other: all eight lattice symmetries
+    for the standard cross shape, only the identity for an arbitrary
+    synthetic board (plain transposition merging).  Coordinates are doubled
+    and re-centred on the initial bounding box so the symmetry centre stays
+    integral.
+
+    Each symmetry is a frame, and a state carries one 64-bit Zobrist hash
+    per frame: the XOR of a random word for each cross image and each line
+    image in that frame (crosses and lines draw from separate tables).  A
+    move XORs its cached per-frame delta into the parent's hashes, so a
+    child costs one update per frame and undo costs nothing.
+
+    The key is ``(h, crosses, lines)``: ``h`` is the smallest frame hash,
+    and ``crosses`` and ``lines`` are the sorted images of the state in the
+    first frame that reaches it.  Equal keys mean the two states have equal
+    images under some pair of symmetries, so a merge is never wrong.  States
+    related by a symmetry have the same frame hashes in another order, so
+    they share ``h``; a 64-bit collision between two different images can
+    only make them pick different frames and miss a merge.
     """
-    init = board.initial
-    cx = min(x for x, _ in init) + max(x for x, _ in init)
-    cy = min(y for _, y in init) + max(y for _, y in init)
-    doubled = {(2 * x - cx, 2 * y - cy) for x, y in init}
-    group = [
-        m
-        for m in _SYMMETRIES
-        if {(m[0] * u + m[1] * v, m[2] * u + m[3] * v) for u, v in doubled} == doubled
-    ]
-    if len(group) == 1:
-        return Board.state_key
 
-    by_step: dict[tuple[int, int], object] = {}
-    for d in DIRECTIONS:
-        sx, sy = d.step
-        by_step[sx, sy] = d
-        by_step[-sx, -sy] = d
-    dir_maps = []
-    for a, b, c, d in group:
-        img = {}
-        for direction in DIRECTIONS:
-            sx, sy = direction.step
-            ix, iy = a * sx + b * sy, c * sx + d * sy
-            if ix < 0 or (ix == 0 and iy < 0):
-                ix, iy = -ix, -iy
-            img[direction] = by_step[ix, iy]
-        dir_maps.append(img)
+    def __init__(self, board: Board):
+        init = board.initial
+        self.cx = min(x for x, _ in init) + max(x for x, _ in init)
+        self.cy = min(y for _, y in init) + max(y for _, y in init)
+        doubled = {(2 * x - self.cx, 2 * y - self.cy) for x, y in init}
+        self.group = [
+            m
+            for m in _SYMMETRIES
+            if {(m[0] * u + m[1] * v, m[2] * u + m[3] * v) for u, v in doubled} == doubled
+        ]
+        by_step: dict[tuple[int, int], Direction] = {}
+        for d in DIRECTIONS:
+            sx, sy = d.step
+            by_step[sx, sy] = d
+            by_step[-sx, -sy] = d
+        self.dir_maps = []
+        for a, b, c, d in self.group:
+            img = {}
+            for direction in DIRECTIONS:
+                sx, sy = direction.step
+                ix, iy = a * sx + b * sy, c * sx + d * sy
+                if ix < 0 or (ix == 0 and iy < 0):
+                    ix, iy = -ix, -iy
+                img[direction] = by_step[ix, iy]
+            self.dir_maps.append(img)
+        self.span = board.variant.alpha - 1
+        self.rng = random.Random(_ZOBRIST_SEED)
+        self.cross_words: dict = {}
+        self.line_words: dict = {}
+        self.moves: dict[Move, _MoveImages] = {}
 
-    span = board.variant.alpha - 1
-    idx = range(len(group))
-    pcache: dict = {}
-    lcache: dict = {}
+    def _images(self, p: Point) -> tuple[Point, ...]:
+        u, v = 2 * p[0] - self.cx, 2 * p[1] - self.cy
+        return tuple((a * u + b * v, c * u + d * v) for a, b, c, d in self.group)
 
-    def point_images(p):
-        out = pcache.get(p)
+    def _word(self, table: dict, item) -> int:
+        word = table.get(item)
+        if word is None:
+            word = table[item] = self.rng.getrandbits(64)
+        return word
+
+    def move(self, move: Move) -> _MoveImages:
+        """Per-frame images of the move's cross and line, and its hash delta."""
+        out = self.moves.get(move)
         if out is None:
-            u, v = 2 * p[0] - cx, 2 * p[1] - cy
-            out = tuple((a * u + b * v, c * u + d * v) for a, b, c, d in group)
-            pcache[p] = out
-        return out
-
-    def line_images(direction, anchor):
-        k = (direction, anchor)
-        out = lcache.get(k)
-        if out is None:
-            head = point_images(anchor)
+            direction, (x, y) = move.direction, move.anchor
             sx, sy = direction.step
-            tail = point_images((anchor[0] + span * sx, anchor[1] + span * sy))
-            out = tuple((dir_maps[i][direction], min(head[i], tail[i])) for i in idx)
-            lcache[k] = out
-        return out
-
-    def key(b: Board) -> tuple:
-        crosses = [point_images(m.cross) for m in b.moves]
-        lines = [line_images(m.direction, m.anchor) for m in b.moves]
-        return min(
-            (
-                tuple(sorted(c[i] for c in crosses)),
-                tuple(sorted(ln[i] for ln in lines)),
+            head = self._images(move.anchor)
+            tail = self._images((x + self.span * sx, y + self.span * sy))
+            crosses = self._images(move.cross)
+            lines = tuple(
+                (dmap[direction], min(a, b))
+                for dmap, a, b in zip(self.dir_maps, head, tail)
             )
-            for i in idx
-        )
+            delta = tuple(
+                self._word(self.cross_words, c) ^ self._word(self.line_words, ln)
+                for c, ln in zip(crosses, lines)
+            )
+            out = self.moves[move] = (crosses, lines, delta)
+        return out
 
-    return key
+    def start(self, moves: list[Move]) -> tuple[tuple[int, ...], list, list]:
+        """Frame hashes and image lists of the state ``moves`` reach, from scratch."""
+        hashes = (0,) * len(self.group)
+        crosses, lines = [], []
+        for m in moves:
+            c, ln, delta = self.move(m)
+            hashes = tuple(map(xor, hashes, delta))
+            crosses.append(c)
+            lines.append(ln)
+        return hashes, crosses, lines
+
+    @staticmethod
+    def key(hashes: tuple[int, ...], crosses: list, lines: list) -> tuple:
+        h = min(hashes)
+        frame = itemgetter(hashes.index(h))
+        return (h, tuple(sorted(map(frame, crosses))), tuple(sorted(map(frame, lines))))
+
+    def key_of(self, board: Board) -> tuple:
+        return self.key(*self.start(board.moves))
 
 
 def exhaustive_solve(
@@ -469,12 +508,17 @@ def exhaustive_solve(
 ) -> SearchResult:
     """Exact maximum score by depth-first search with undo.
 
-    Transpositions (same crosses and lines reached by a different move
-    order, or states related by a symmetry of the initial crosses) are
-    merged; the table stores the exact number of further moves available
-    from each position, and the best line is reconstructed from the filled
-    table afterwards.  Exceeding the node budget returns the best game
-    found so far flagged non-exact.
+    With ``use_transpositions`` (the default) states are merged through the
+    :class:`_SymmetricKeys` key: same crosses and lines reached by another
+    move order, or related by a symmetry of the initial crosses.  Merged
+    states have equal images under some pair of symmetries, hence the same
+    value, so a merge is never wrong; a 64-bit hash collision can only miss
+    a merge, which would show as a larger node count and never as a
+    different value.  The table stores the exact number of further moves
+    available from each state, and the best line is reconstructed from the
+    filled table afterwards.  Without transpositions this is a plain DFS,
+    kept as the reference to test the merging against.  Exceeding the node
+    budget returns the best game found so far flagged non-exact.
 
     Sized for length-6 variants and synthetic positions; a 5D/5T run will
     hit any realistic budget.
@@ -484,17 +528,18 @@ def exhaustive_solve(
         board = Board(variant)
     else:
         board = board.copy()
-    keyfn = _state_key_fn(board) if use_transpositions else None
+    keys = _SymmetricKeys(board)
     table: dict[tuple, int] = {}
     nodes = 0
     budget_hit = False
     best_seen = 0
     best_moves: list[Move] = []
     root_depth = board.score
+    hashes, crosses, lines = keys.start(board.moves)
 
-    def dfs() -> int:
+    def dfs(hashes: tuple[int, ...]) -> int:
         nonlocal nodes, budget_hit, best_seen, best_moves
-        key = keyfn(board) if keyfn is not None else None
+        key = keys.key(hashes, crosses, lines) if use_transpositions else None
         if key is not None:
             hit = table.get(key)
             if hit is not None:
@@ -510,29 +555,37 @@ def exhaustive_solve(
             if nodes > node_budget:
                 budget_hit = True
                 break
+            c, ln, delta = keys.move(move)
+            crosses.append(c)
+            lines.append(ln)
             board.apply(move)
-            child = 1 + dfs()
+            child = 1 + dfs(tuple(map(xor, hashes, delta)))
             if child > value:
                 value = child
             board.undo()
+            crosses.pop()
+            lines.pop()
         if key is not None and not budget_hit:
             table[key] = value
         return value
 
-    value = dfs()
+    value = dfs(hashes)
+    # dfs refers to itself through its closure cell; breaking that cycle
+    # frees the table now instead of at the next cyclic collection
+    dfs = None  # type: ignore[assignment]
 
-    if not budget_hit and keyfn is not None:
+    if not budget_hit and use_transpositions:
         # replay the optimum from the filled table, preferring the first
         # move in canonical order at every step
         walk = board
         line: list[Move] = []
         while True:
-            target = table.get(keyfn(walk), 0)
+            target = table.get(keys.key_of(walk), 0)
             if target == 0:
                 break
             for m in walk.legal_moves():
                 walk.apply(m)
-                if table.get(keyfn(walk), -1) == target - 1:
+                if table.get(keys.key_of(walk), -1) == target - 1:
                     line.append(m)
                     break
                 walk.undo()

@@ -114,6 +114,23 @@ def test_solve_rejects_unknown_strategy(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--strategy", "exhaustive", "--time-budget", "1"], "--time-budget"),
+        (["--strategy", "random", "--level", "2"], "--level"),
+        (["--strategy", "greedy", "--node-budget", "10"], "--node-budget"),
+        (["--strategy", "nmcs", "--width", "8"], "--width"),
+        (["--strategy", "exhaustive", "--variant", "6D", "--seed", "1"], "--seed"),
+    ],
+)
+def test_solve_rejects_options_the_strategy_ignores(capsys, argv, flag):
+    code, out, err = run(capsys, "solve", *argv)
+    assert code == 2
+    assert out == ""
+    assert flag in err
+
+
 def test_replay_summarizes_board(capsys):
     code, out, _ = run(capsys, "replay", str(GOLDEN / "greedy_5d_seed1.rec"))
     assert code == 0

@@ -5,12 +5,24 @@ as regression tripwires; they are properties of (algorithm, seed), not of
 the game.
 """
 
+import gc
+
 import pytest
 
 from morpion.engine import Board, GameRecord, Move, replay
-from morpion.geometry import FIVE_D, FIVE_T, Direction, Variant, initial_crosses
+from morpion.geometry import (
+    DIRECTIONS,
+    FIVE_D,
+    FIVE_T,
+    SIX_D,
+    SIX_T,
+    Direction,
+    Variant,
+)
 from morpion.solver import (
+    _SYMMETRIES,
     SearchConfig,
+    _SymmetricKeys,
     beam_search,
     check_record_bounds,
     exhaustive_solve,
@@ -173,6 +185,156 @@ def test_exhaustive_value_only_depends_on_state_not_history():
     assert mid.exact
     total = exhaustive_solve(FIVE_D, board=tiny_board(CLUSTER))
     assert total.best_score >= mid.best_score  # optimum from earlier is no worse
+
+
+def seeded_prefix(variant, seed, length):
+    """The variant's start position after ``length`` seeded random moves."""
+    rng = rng_stream(seed)
+    board = Board(variant)
+    for _ in range(length):
+        moves = board.legal_moves()
+        board.apply(moves[int(rng.integers(0, len(moves)))])
+    return board
+
+
+@pytest.mark.parametrize("variant", [SIX_D, SIX_T], ids=["6D", "6T"])
+def test_exhaustive_agrees_with_plain_dfs_on_symmetric_starts(variant):
+    # the standard cross has all eight symmetries, so this compares the
+    # eight-frame key with plain DFS (the synthetic boards above have one)
+    start = seeded_prefix(variant, 3, 7)
+    merged = exhaustive_solve(variant, board=start)
+    plain = exhaustive_solve(variant, board=start, use_transpositions=False)
+    assert merged.exact and plain.exact
+    assert merged.best_score == plain.best_score
+    assert merged.nodes_expanded < plain.nodes_expanded
+    board = start.copy()
+    for mv in merged.best_record.moves:
+        board.apply(mv)
+    assert board.score - start.score == merged.best_score
+    assert not board.has_legal_moves()
+
+
+def test_exhaustive_frees_its_table_without_the_cycle_collector():
+    board = seeded_prefix(SIX_D, 0, 7)
+    gc.collect()
+    gc.disable()
+    try:
+        exhaustive_solve(SIX_D, board=board)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def reference_state_key_fn(board):
+    """The symmetric key by brute force: every frame sorted, least one wins.
+
+    Maps every move under each symmetry of the initial crosses, sorts the
+    crosses and the lines of each frame and takes the minimum, so two states
+    get equal keys exactly when a symmetry maps one onto the other.
+    """
+    init = board.initial
+    cx = min(x for x, _ in init) + max(x for x, _ in init)
+    cy = min(y for _, y in init) + max(y for _, y in init)
+    doubled = {(2 * x - cx, 2 * y - cy) for x, y in init}
+    group = [
+        m
+        for m in _SYMMETRIES
+        if {(m[0] * u + m[1] * v, m[2] * u + m[3] * v) for u, v in doubled} == doubled
+    ]
+    if len(group) == 1:
+        return Board.state_key
+
+    by_step = {}
+    for d in DIRECTIONS:
+        sx, sy = d.step
+        by_step[sx, sy] = d
+        by_step[-sx, -sy] = d
+    dir_maps = []
+    for a, b, c, d in group:
+        img = {}
+        for direction in DIRECTIONS:
+            sx, sy = direction.step
+            ix, iy = a * sx + b * sy, c * sx + d * sy
+            if ix < 0 or (ix == 0 and iy < 0):
+                ix, iy = -ix, -iy
+            img[direction] = by_step[ix, iy]
+        dir_maps.append(img)
+
+    span = board.variant.alpha - 1
+    idx = range(len(group))
+
+    def point_images(p):
+        u, v = 2 * p[0] - cx, 2 * p[1] - cy
+        return tuple((a * u + b * v, c * u + d * v) for a, b, c, d in group)
+
+    def line_images(direction, anchor):
+        head = point_images(anchor)
+        sx, sy = direction.step
+        tail = point_images((anchor[0] + span * sx, anchor[1] + span * sy))
+        return tuple((dir_maps[i][direction], min(head[i], tail[i])) for i in idx)
+
+    def key(b):
+        crosses = [point_images(m.cross) for m in b.moves]
+        lines = [line_images(m.direction, m.anchor) for m in b.moves]
+        return min(
+            (
+                tuple(sorted(c[i] for c in crosses)),
+                tuple(sorted(ln[i] for ln in lines)),
+            )
+            for i in idx
+        )
+
+    return key
+
+
+def symmetric_image(board, sym, moves):
+    """``moves`` mapped by the lattice symmetry ``sym`` about the start's centre."""
+    a, b, c, d = sym
+    init = board.initial
+    cx = min(x for x, _ in init) + max(x for x, _ in init)
+    cy = min(y for _, y in init) + max(y for _, y in init)
+
+    def image(p):
+        u, v = 2 * p[0] - cx, 2 * p[1] - cy
+        return ((a * u + b * v + cx) // 2, (c * u + d * v + cy) // 2)
+
+    span = board.variant.alpha - 1
+    out = []
+    for m in moves:
+        sx, sy = m.direction.step
+        ends = (image(m.anchor), image((m.anchor[0] + span * sx, m.anchor[1] + span * sy)))
+        anchor = min(ends)
+        step = (max(ends)[0] - anchor[0]) // span, (max(ends)[1] - anchor[1]) // span
+        direction = next(dd for dd in DIRECTIONS if dd.step == step)
+        out.append(Move(image(m.cross), direction, anchor))
+    return out
+
+
+@pytest.mark.parametrize("variant", [FIVE_D, SIX_D], ids=["5D", "6D"])
+def test_symmetric_key_matches_reference_partition(variant):
+    start = Board(variant)
+    keys = _SymmetricKeys(start)
+    reference = reference_state_key_fn(start)
+    assert len(keys.group) == 8
+    states = []
+    for seed in range(6):
+        game = seeded_prefix(variant, seed, 12).moves
+        for depth in (1, 2, 3, 12):
+            new_keys = set()
+            for sym in _SYMMETRIES:
+                board = start.copy()
+                for mv in symmetric_image(start, sym, game[:depth]):
+                    board.apply(mv)  # the start is symmetric: every image is legal
+                new_key = keys.key_of(board)
+                new_keys.add(new_key)
+                states.append((new_key, reference(board)))
+            assert len(new_keys) == 1, "the key must not depend on the frame"
+    # equal new keys exactly when the reference keys are equal
+    new_classes = {new for new, _ in states}
+    ref_classes = {ref for _, ref in states}
+    assert len(set(states)) == len(new_classes) == len(ref_classes)
+    # shallow prefixes of different games coincide up to symmetry
+    assert len(ref_classes) < len(states) // 8
 
 
 def test_solve_dispatch_routes_strategies():
