@@ -13,22 +13,26 @@ from morpion import (
     FIVE_D,
     PUBLISHED_BOUNDS,
     Board,
-    check_pre_move_floor,
     check_terminal_lemma,
     potential_bound,
     potential_report,
     random_playout,
     replay,
+    verify_record,
 )
 
 # watch the identity hold move by move on a random game
 record = random_playout(FIVE_D, seed=3)
 board = Board(FIVE_D)
 for n, move in enumerate(record.moves, start=1):
-    assert check_pre_move_floor(board)  # >= 4 units free before every move
+    assert potential_report(board).total >= 4  # units free before every move
     board.apply(move)
     assert potential_report(board).total == 144 - n
 print(f"seed 3 playout: {board.score} moves, total potential {potential_report(board).total}")
+
+# verify_record runs the same checks, plus the terminal lemma below, as the
+# replay monitor behind `morpion verify`
+print(f"verify_record: {verify_record(record)}")
 
 # the terminal lemma: the last three crosses retain at least 7 units,
 # and the final cross always retains exactly 3

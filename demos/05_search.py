@@ -3,10 +3,10 @@ Searching for long games
 ========================
 
 Four harnesses of increasing strength: random playouts, a jittered
-greedy line, beam search over a heuristic, and nested Monte-Carlo
-search.  Everything is seeded; rerunning the script reproduces the
-same scores.  Pass --exact to also solve the length-6 variants to
-optimality (about 15 s each on one core).
+greedy line, beam search over a seeded random ranking, and nested
+Monte-Carlo search.  Everything is seeded; rerunning the script
+reproduces the same scores.  Pass --exact to also solve the length-6
+variants to optimality (about 15 s each on one core).
 """
 
 import sys

@@ -11,8 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .engine import Board, IllegalMoveError
-from .geometry import FIVE_D, ConfigurationError, Variant
+from .engine import IllegalMoveError, replay
+from .geometry import ConfigurationError, Variant
 from .linecover import (
     ALL_RULES,
     LayoutError,
@@ -20,7 +20,7 @@ from .linecover import (
     packing_search,
     scan_table,
 )
-from .potential import PUBLISHED_BOUNDS, check_terminal_lemma, potential_report
+from .potential import INITIAL_POTENTIAL, PUBLISHED_BOUNDS, MonitorFailure, verify_record
 from .recordio import (
     LAYOUT_MAGIC,
     RECORD_MAGIC,
@@ -83,49 +83,26 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _fail(check: str, detail: str) -> int:
-    print(f"verify: FAIL ({check}) {detail}")
-    return 1
-
-
 def _cmd_verify(args) -> int:
     record = parse_record(_read(args.record), validate=False)
-    board = Board(record.variant)
-    monitors = record.variant == FIVE_D
-    initial_count = len(board.crosses)
-
-    for i, mv in enumerate(record.moves, start=1):
-        if monitors and potential_report(board).total < 4:
-            return _fail("pre-move floor", f"total < 4 before move {i}")
-        try:
-            board.apply(mv)
-        except IllegalMoveError as exc:
-            return _fail("replay", str(exc))
-        if monitors and potential_report(board).total != 144 - i:
-            return _fail("potential", f"total != 144-{i} after move {i}")
-    n = len(record.moves)
-    print(f"replay: ok ({n} moves)")
-
-    if len(board.lines) != n or len(board.crosses) != initial_count + n:
-        return _fail(
-            "fact", f"crosses={len(board.crosses)} lines={len(board.lines)} for N={n}"
-        )
-    print(f"fact: crosses={len(board.crosses)} lines={len(board.lines)} ok")
-
-    if not monitors:
+    try:
+        result = verify_record(record)
+    except MonitorFailure as exc:
+        print(f"verify: FAIL ({exc.check}) {exc}")
+        return 1
+    print(f"replay: ok ({len(record.moves)} moves)")
+    print(f"fact: crosses={result.crosses} lines={result.lines} ok")
+    if result.potential is None:
         print(f"potential monitors: skipped (variant {record.variant.name})")
     else:
-        print(f"potential: total=144-N identity ok (now {potential_report(board).total})")
+        print(
+            f"potential: total={INITIAL_POTENTIAL}-N identity ok (now {result.potential})"
+        )
         print("pre-move floor: ok")
-        if board.has_legal_moves():
+        if result.terminal is None:
             print("terminal lemma: skipped (board not terminal)")
-        elif n < 3:
-            print("terminal lemma: skipped (fewer than 3 moves)")
         else:
-            ok, witness = check_terminal_lemma(board)
-            if not ok:
-                return _fail("terminal lemma", f"last three cross potentials {witness}")
-            print(f"terminal lemma: sum={sum(witness)} ok")
+            print(f"terminal lemma: sum={sum(result.terminal)} ok")
     print("verify: PASS")
     return 0
 
@@ -210,13 +187,10 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    record = parse_record(_read(args.record))
-    board = Board(record.variant)
-    for mv in record.moves:
-        board.apply(mv)
+    board = replay(parse_record(_read(args.record), validate=False))
     terminal = "yes" if not board.has_legal_moves() else "no"
     print(
-        f"replayed {len(record.moves)} moves: crosses={len(board.crosses)}"
+        f"replayed {len(board.moves)} moves: crosses={len(board.crosses)}"
         f" lines={len(board.lines)} terminal={terminal}"
     )
     return 0
@@ -228,7 +202,7 @@ def _cmd_render(args) -> int:
         obj = parse_layout(text)
         annotate = False
     elif text.startswith(RECORD_MAGIC):
-        obj = parse_record(text)
+        obj = parse_record(text, validate=False)  # render replays it
         annotate = True
     else:
         raise RecordParseError(

@@ -211,33 +211,6 @@ class Board:
         self._rebuild_legal()
 
     @classmethod
-    def with_lines(
-        cls,
-        variant: Variant,
-        crosses: Iterable[Point],
-        segments: Iterable[Segment],
-    ) -> "Board":
-        """Synthetic board with pre-placed lines and no move history.
-
-        Used for analysis of positions that are not claimed to be reachable.
-        Each segment must cover only crosses and respect the variant's
-        same-direction rule against the segments before it.
-        """
-        board = cls(variant, crosses)
-        for seg in segments:
-            if seg.length != variant.alpha:
-                raise ValueError(f"segment length {seg.length} != alpha {variant.alpha}")
-            for p in seg.points():
-                if p not in board.crosses:
-                    raise ValueError(f"segment {seg} covers empty point {p}")
-            if board._conflicts(seg.direction, seg.key, seg.offset):
-                raise ValueError(f"segment {seg} conflicts with an earlier same-direction line")
-            board._register_line(board._geo.row(seg))
-            board.lines.append(seg)
-        board._rebuild_legal()
-        return board
-
-    @classmethod
     def force(
         cls,
         variant: Variant,
@@ -272,10 +245,6 @@ class Board:
         """All legal moves, canonically sorted by (cross, direction, anchor)."""
         return sorted(self._legal.values())
 
-    @property
-    def legal_count(self) -> int:
-        return len(self._legal)
-
     def has_legal_moves(self) -> bool:
         return bool(self._legal)
 
@@ -300,10 +269,6 @@ class Board:
             kind = "touches" if not self.variant.touching_allowed else "overlaps"
             return f"(d): line {kind} an existing same-direction line"
         return None
-
-    def potential(self, point: Point) -> int:
-        """Lines that could still cover the cross at ``point``: 4 minus cover count."""
-        return 4 - self.cover_count.get(point, 0)
 
     def state_key(self) -> tuple[frozenset, frozenset]:
         """Hashable identity of the position (move order forgotten)."""

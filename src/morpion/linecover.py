@@ -563,7 +563,6 @@ def packing_search(
     widths: Iterable[int],
     heights: Iterable[int],
     cuts: Iterable[int | tuple[int, int, int, int]] = (0,),
-    improve: bool = True,
 ) -> PackResult:
     """Best packed layout over a shape family: max lines n with coverage <= n+36.
 
@@ -591,9 +590,7 @@ def packing_search(
                 pts = octagon_points(w, h, cut)
                 if not pts:
                     continue
-                layout = pack_runs(pts)
-                if improve:
-                    layout = _improve(layout)
+                layout = _improve(pack_runs(pts))
                 n = layout.line_count
                 cov = len(layout.points())
                 if cov > n + 36 or n == 0:

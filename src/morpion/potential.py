@@ -9,18 +9,24 @@ above; ``potential_bound`` evaluates that argument and ``PUBLISHED_BOUNDS``
 lists the four parameter triples with published consequences (141, 138, 137,
 136).
 
-The per-trace monitors (``check_terminal_lemma``, ``check_pre_move_floor``)
-test the argument's ingredient facts on concrete games.  They are gated to
-5D: the same formula evaluates on 5T boards, but none of the invariants are
-claimed there.
+``verify_record`` tests the argument's ingredient facts on a concrete game:
+the total is 144 - N after every move, at least 4 before every move, and a
+finished game keeps at least 7 on its last three crosses
+(``check_terminal_lemma``).  The potential checks are gated to 5D: the same
+formula evaluates on 5T boards, but none of the invariants are claimed there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import Board
-from .geometry import Point
+from .engine import Board, GameRecord, IllegalMoveError
+from .geometry import FIVE_D, Point
+
+#: Total potential of the standard 5D start: 36 crosses worth 4 each.
+INITIAL_POTENTIAL = 144
+#: Least total potential of a 5D board that still has a move to make.
+PRE_MOVE_FLOOR = 4
 
 
 @dataclass(frozen=True)
@@ -74,10 +80,10 @@ def potential_bound(p0: int, terminal_floor: int, lookback: int) -> int:
 
 #: The four published potential-argument instantiations for 5D, strongest last.
 PUBLISHED_BOUNDS: tuple[BoundDerivation, ...] = (
-    BoundDerivation(144, 4, 1),
-    BoundDerivation(144, 6, 0),
-    BoundDerivation(144, 7, 0),
-    BoundDerivation(144, 9, 1),
+    BoundDerivation(INITIAL_POTENTIAL, PRE_MOVE_FLOOR, 1),
+    BoundDerivation(INITIAL_POTENTIAL, 6, 0),
+    BoundDerivation(INITIAL_POTENTIAL, 7, 0),
+    BoundDerivation(INITIAL_POTENTIAL, 9, 1),
 )
 
 
@@ -89,7 +95,8 @@ def check_terminal_lemma(board: Board) -> tuple[bool, tuple[int, int, int]]:
     A False result on an engine-generated game indicates an engine bug; the
     only way to see False is a board built with legality checks bypassed.
     """
-    _require_5d(board)
+    if board.variant != FIVE_D:
+        raise ValueError(f"potential monitors are defined for 5D, not {board.variant.name}")
     if board.has_legal_moves():
         raise ValueError("terminal lemma applies to finished games only")
     if len(board.moves) < 3:
@@ -99,17 +106,64 @@ def check_terminal_lemma(board: Board) -> tuple[bool, tuple[int, int, int]]:
     return (sum(witness) >= 7, witness)  # type: ignore[return-value]
 
 
-def check_pre_move_floor(board: Board) -> bool:
-    """Any 5D board that still has a legal move has total potential >= 4.
+class MonitorFailure(Exception):
+    """A record failed the :func:`verify_record` check named by ``check``."""
 
-    Vacuously true on finished games.
+    def __init__(self, check: str, detail: str):
+        super().__init__(detail)
+        self.check = check
+
+
+@dataclass(frozen=True)
+class Verification:
+    """A verified record's final cross and line counts, total potential (None
+    off 5D) and terminal lemma witness (None while legal moves remain)."""
+
+    crosses: int
+    lines: int
+    potential: int | None
+    terminal: tuple[int, int, int] | None
+
+
+def verify_record(record: GameRecord) -> Verification:
+    """Replay ``record`` legally, one line and one cross per move, under the
+    5D potential monitors; raise :class:`MonitorFailure` at the first failure.
+
+    Each 5D position gets one :func:`potential_report`: its total must be
+    144 - N after N moves and at least 4 before each recorded move.  It is
+    recomputed from the cover counts, not updated per move, so a count
+    corrupted anywhere on the board is caught, not only where a move lands.
+    A finished 5D game must also pass :func:`check_terminal_lemma`.
     """
-    _require_5d(board)
-    if not board.has_legal_moves():
-        return True
-    return potential_report(board).total >= 4
+    board = Board(record.variant)
+    monitored = record.variant == FIVE_D
+    total = _checked_total(board) if monitored else None
+    for i, move in enumerate(record.moves, start=1):
+        if monitored and total < PRE_MOVE_FLOOR:
+            raise MonitorFailure("pre-move floor", f"total < {PRE_MOVE_FLOOR} before move {i}")
+        try:
+            board.apply(move)
+        except IllegalMoveError as exc:
+            raise MonitorFailure("replay", str(exc)) from None
+        if monitored:
+            total = _checked_total(board)
+    n = len(record.moves)
+    if len(board.lines) != n or len(board.crosses) != len(board.initial) + n:
+        raise MonitorFailure(
+            "fact", f"crosses={len(board.crosses)} lines={len(board.lines)} for N={n}"
+        )
+    terminal = None
+    if monitored and not board.has_legal_moves():
+        ok, terminal = check_terminal_lemma(board)
+        if not ok:
+            raise MonitorFailure("terminal lemma", f"last three cross potentials {terminal}")
+    return Verification(len(board.crosses), len(board.lines), total, terminal)
 
 
-def _require_5d(board: Board) -> None:
-    if board.variant.alpha != 5 or board.variant.touching_allowed:
-        raise ValueError(f"potential monitors are defined for 5D, not {board.variant.name}")
+def _checked_total(board: Board) -> int:
+    """The board's total potential, after checking it is 144 - N."""
+    total = potential_report(board).total
+    n = board.score
+    if total != INITIAL_POTENTIAL - n:
+        raise MonitorFailure("potential", f"total != {INITIAL_POTENTIAL}-{n} after move {n}")
+    return total

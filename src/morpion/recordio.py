@@ -30,11 +30,16 @@ import re
 from dataclasses import dataclass
 
 from .engine import Board, GameRecord, Move, replay
-from .geometry import SUPPORTED_ALPHAS, Direction, Segment, Variant
+from .geometry import SUPPORTED_ALPHAS, Direction, Segment, Variant, bounding_box
 from .linecover import Layout, LayoutError, verify_layout
 
 RECORD_MAGIC = "morpion-record"
 LAYOUT_MAGIC = "morpion-layout"
+
+#: Most characters an ASCII render may lay out.  The grid spans the bounding
+#: box, so a few far-apart lines in a small layout file would otherwise ask
+#: for unbounded memory; an annotated 5D game needs a few thousand.
+_ASCII_CELL_CAP = 1_000_000
 
 
 class RecordParseError(ValueError):
@@ -247,7 +252,9 @@ def _scene(obj, annotate: bool):
 
 
 def render(obj, spec: RenderSpec | None = None) -> bytes:
-    """Draw a Board, GameRecord, or Layout per the RenderSpec; deterministic bytes."""
+    """Draw a Board, GameRecord, or Layout per the RenderSpec; deterministic bytes.
+
+    Raises LayoutError when an ASCII grid would exceed a fixed cell cap."""
     spec = spec if spec is not None else RenderSpec()
     points, segments = _scene(obj, spec.annotate_moves)
     if spec.format == "ascii":
@@ -267,15 +274,17 @@ def _render_ascii(points: dict, segments: list[Segment]) -> bytes:
     """
     if not points:
         return b""
-    xs = sorted(p[0] for p in points)
-    ys = sorted(p[1] for p in points)
-    minx, maxx, miny, maxy = xs[0], xs[-1], ys[0], ys[-1]
+    minx, miny, maxx, maxy = bounding_box(points)
     width = max((len(str(v)) for v in points.values() if v != "o"), default=1)
     width = 1 if width == 1 else max(3, width)
     step = width + 1
 
     nrows = 2 * (maxy - miny) + 1
     ncols = (maxx - minx) * step + width
+    if nrows * ncols > _ASCII_CELL_CAP:
+        raise LayoutError(
+            f"ascii render needs {nrows}x{ncols} cells, over the cap of {_ASCII_CELL_CAP}"
+        )
     grid = [[" "] * ncols for _ in range(nrows)]
 
     def node(x: int, y: int) -> tuple[int, int]:
@@ -318,9 +327,7 @@ def _render_svg(points: dict, segments: list[Segment], cell: int) -> bytes:
     if not points:
         out.append(f'<svg xmlns="http://www.w3.org/2000/svg" width="{cell}" height="{cell}"></svg>')
         return ("\n".join(out) + "\n").encode()
-    xs = sorted(p[0] for p in points)
-    ys = sorted(p[1] for p in points)
-    minx, maxx, miny, maxy = xs[0], xs[-1], ys[0], ys[-1]
+    minx, miny, maxx, maxy = bounding_box(points)
     w = (maxx - minx + 2) * cell
     h = (maxy - miny + 2) * cell
 

@@ -19,7 +19,6 @@ import random
 import time
 from dataclasses import dataclass
 from operator import itemgetter, xor
-from typing import Callable
 
 import numpy as np
 
@@ -41,9 +40,6 @@ class SearchConfig:
     nmcs_level: int = 1
     time_budget: float | None = None  # seconds
     node_budget: int = DEFAULT_NODE_BUDGET
-    stop_score: int | None = None
-    playouts: int = 1  # for strategy "random": sweep size
-    workers: int = 1
 
 
 @dataclass
@@ -187,17 +183,15 @@ def beam_search(
     variant: Variant,
     width: int,
     seed: int,
-    heuristic: Callable[[Board], float] | None = None,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> SearchResult:
-    """Level-synchronous beam keyed by a board heuristic.
+    """Level-synchronous beam ranked by a seeded jitter.
 
-    Without a heuristic every candidate scores 0, so ranking falls through
-    to the seeded jitter tie-break and the beam explores a reproducible
-    random sample of width lines.  (Total potential would rank no better:
-    with length-5 lines it is the same for every board at a given depth,
-    since each move adds a 4-potential cross and spends 5.)  A custom
-    heuristic changes that.
+    Each level keeps the ``width`` candidates with the smallest jitter, so
+    the beam explores a reproducible random sample of ``width`` lines.
+    (Total potential would rank no better: with length-5 lines it is the
+    same for every board at a given depth, since each move adds a
+    4-potential cross and spends 5.)
 
     Duplicate positions within a level (same crosses and lines via a
     different move order) are merged before selection.
@@ -206,14 +200,13 @@ def beam_search(
         raise ValueError("beam width must be >= 1")
     t0 = time.perf_counter()
     rng = rng_stream(seed)
-    default_h = heuristic is None
     beam = [_fresh_board(variant)]
     best_board = beam[0]
     best_score = 0
     nodes = 0
     reason = "complete"
     while True:
-        candidates: list[tuple[float, float, int, Move]] = []
+        candidates: list[tuple[float, int, Move]] = []
         seen: set[tuple[frozenset, frozenset]] = set()
         alive = False
         for bi, board in enumerate(beam):
@@ -229,22 +222,16 @@ def beam_search(
                 if key in seen:
                     continue
                 seen.add(key)
-                jitter = float(rng.random())
-                if default_h:
-                    h = 0.0  # constant per level; jitter decides
-                else:
-                    child = board.copy().apply(m)
-                    h = float(heuristic(child))
-                candidates.append((h, jitter, bi, m))
+                candidates.append((float(rng.random()), bi, m))
         if not alive or not candidates:
             break
-        candidates.sort(key=lambda c: (-c[0], c[1]))
+        candidates.sort(key=itemgetter(0))
         nodes += len(candidates)
         if nodes > node_budget:
             reason = "node-budget"
             break
         next_beam = []
-        for h, jitter, bi, m in candidates[:width]:
+        for _, bi, m in candidates[:width]:
             next_beam.append(beam[bi].copy().apply(m))
         beam = next_beam
         tail = max(beam, key=lambda b: b.score)
@@ -551,10 +538,12 @@ def exhaustive_solve(
         # Child order cannot change the value, so take the move index as-is
         # and skip the canonical sort.
         for move in list(board._legal.values()):
-            nodes += 1
-            if nodes > node_budget:
+            # tested before counting, so that once the budget is spent each
+            # ancestor stops without counting a move it will not apply
+            if nodes >= node_budget:
                 budget_hit = True
                 break
+            nodes += 1
             c, ln, delta = keys.move(move)
             crosses.append(c)
             lines.append(ln)
@@ -616,13 +605,11 @@ def exhaustive_solve(
 def solve(variant: Variant, config: SearchConfig) -> SearchResult:
     """Run the configured strategy; the CLI's single entry point."""
     if config.strategy == "random":
-        if config.playouts == 1:
-            t0 = time.perf_counter()
-            record = random_playout(variant, config.seed)
-            return SearchResult(
-                record, len(record.moves), len(record.moves), time.perf_counter() - t0
-            )
-        return playout_sweep(variant, config.seed, config.playouts, config.workers)
+        t0 = time.perf_counter()
+        record = random_playout(variant, config.seed)
+        return SearchResult(
+            record, len(record.moves), len(record.moves), time.perf_counter() - t0
+        )
     if config.strategy == "greedy":
         return greedy(variant, config.seed)
     if config.strategy == "beam":
@@ -636,7 +623,6 @@ def solve(variant: Variant, config: SearchConfig) -> SearchResult:
             config.seed,
             node_budget=config.node_budget,
             time_budget=config.time_budget,
-            stop_score=config.stop_score,
         )
     if config.strategy == "exhaustive":
         return exhaustive_solve(variant, node_budget=config.node_budget)

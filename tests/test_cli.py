@@ -6,14 +6,15 @@ byte-stable.
 """
 
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from morpion import cli, potential
 from morpion.cli import main
-from morpion.geometry import FIVE_T
-from morpion.recordio import emit_record, parse_layout, parse_record
-from morpion.solver import random_playout
+from morpion.recordio import parse_layout, parse_record
+from morpion.solver import SearchConfig
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -68,24 +69,61 @@ def test_verify_golden_record(capsys):
     assert out.splitlines()[-1] == "verify: PASS"
 
 
-def test_verify_flags_tampered_record(capsys, tmp_path):
+def test_verify_prefix_record_matches_golden(capsys, tmp_path):
+    lines = (GOLDEN / "greedy_5d_seed1.rec").read_text().splitlines()
+    cut = next(i for i, line in enumerate(lines) if line.startswith("21 "))
+    path = tmp_path / "prefix.rec"
+    path.write_text("\n".join(lines[:cut]) + "\n")
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0
+    assert out == (GOLDEN / "cli_verify_greedy_prefix20.out").read_text()
+    assert "terminal lemma: skipped (board not terminal)" in out
+
+
+def test_verify_makes_one_potential_report_per_position(capsys, monkeypatch):
+    calls = []
+    report = potential.potential_report
+    monkeypatch.setattr(
+        potential, "potential_report", lambda board: calls.append(board.score) or report(board)
+    )
+    code, out, _ = run(capsys, "verify", str(GOLDEN / "greedy_5d_seed1.rec"))
+    assert code == 0
+    # positions 0..53, then the terminal lemma's own report
+    assert calls == list(range(54)) + [53]
+
+
+def tampered_record(tmp_path):
     text = (GOLDEN / "greedy_5d_seed1.rec").read_text()
     lines = text.splitlines()
     # move 5's cross lands far off its own line: clause (b) on replay
     lines[8] = re.sub(r"cross=-?\d+,-?\d+", "cross=40,40", lines[8])
     bad = tmp_path / "tampered.rec"
     bad.write_text("\n".join(lines) + "\n")
-    code, out, _ = run(capsys, "verify", str(bad))
+    return bad
+
+
+def test_verify_flags_tampered_record(capsys, tmp_path):
+    code, out, _ = run(capsys, "verify", str(tampered_record(tmp_path)))
     assert code == 1
-    assert "verify: FAIL (replay)" in out
+    assert out == (
+        "verify: FAIL (replay) illegal move Move(cross=(40, 40),"
+        " direction=<Direction.N: 1>, anchor=(6, 0)):"
+        " (b): line does not cover the placed cross\n"
+    )
 
 
-def test_verify_skips_monitors_off_5d(capsys, tmp_path):
-    record = random_playout(FIVE_T, 3)
-    path = tmp_path / "t.rec"
-    path.write_text(emit_record(record))
-    code, out, _ = run(capsys, "verify", str(path))
+@pytest.mark.parametrize("command", ["replay", "render"])
+def test_replay_and_render_reject_tampered_record(capsys, tmp_path, command):
+    code, out, err = run(capsys, command, str(tampered_record(tmp_path)))
+    assert code == 1
+    assert out == ""
+    assert "move 5:" in err
+
+
+def test_verify_skips_monitors_off_5d(capsys):
+    code, out, _ = run(capsys, "verify", str(GOLDEN / "random_5t_seed3.rec"))
     assert code == 0
+    assert out == (GOLDEN / "cli_verify_random_5t.out").read_text()
     assert "potential monitors: skipped (variant 5T)" in out
     assert out.splitlines()[-1] == "verify: PASS"
 
@@ -106,6 +144,18 @@ def test_solve_stdout_stable_up_to_time(capsys):
     code2, out2, _ = run(capsys, "solve", "--strategy", "random", "--seed", "5")
     assert code1 == code2 == 0
     assert mask_time(out1) == mask_time(out2)
+
+
+def test_solve_exhaustive_stops_at_the_node_budget(capsys):
+    code, out, _ = run(
+        capsys, "solve", "--strategy", "exhaustive", "--variant", "6D", "--node-budget", "100"
+    )
+    assert code == 0
+    assert re.fullmatch(r"score=\d+ nodes=100 time=\d+ms\n", out)
+
+
+def test_every_search_config_field_has_a_solve_flag():
+    assert {f.name for f in fields(SearchConfig)} - {"strategy"} == set(cli._SOLVE_FLAGS)
 
 
 def test_solve_rejects_unknown_strategy(capsys):
@@ -203,6 +253,21 @@ def test_layout_with_unsupported_alpha_exits_1(capsys, tmp_path):
     code, _, err = run(capsys, "render", str(path))
     assert code == 1
     assert "out of range" in err
+
+
+def test_render_of_far_apart_layout_lines_exits_1(capsys, tmp_path):
+    """Three lines whose bounding box would need about 4e12 ASCII cells."""
+    path = tmp_path / "far.lay"
+    path.write_text(
+        "morpion-layout v1 alpha=5\n"
+        "dir=E anchor=0,0\n"
+        "dir=N anchor=0,0\n"
+        "dir=E anchor=1000000,1000000\n"
+    )
+    code, out, err = run(capsys, "render", str(path))
+    assert code == 1
+    assert out == ""
+    assert "2000001x2000009 cells" in err
 
 
 def test_cli_record_files_parse_with_library(capsys, tmp_path):

@@ -1,18 +1,20 @@
-"""Potential accounting: the 144 - N identity, bound table, trace monitors."""
+"""Potential accounting: the 144 - N identity, bound table, replay monitors."""
 
 import random
 
 import pytest
 
-from morpion.engine import Board, Move
+from morpion.engine import Board, GameRecord, Move
 from morpion.geometry import FIVE_D, FIVE_T, Direction
 from morpion.potential import (
+    PRE_MOVE_FLOOR,
     PUBLISHED_BOUNDS,
     BoundDerivation,
-    check_pre_move_floor,
+    MonitorFailure,
     check_terminal_lemma,
     potential_bound,
     potential_report,
+    verify_record,
 )
 
 
@@ -109,12 +111,45 @@ def test_terminal_lemma_preconditions():
         check_terminal_lemma(Board(FIVE_T))  # wrong variant
 
 
-def test_pre_move_floor():
-    rng = random.Random(4)
-    board = Board(FIVE_D)
+def random_game(variant, seed):
+    rng = random.Random(seed)
+    board = Board(variant)
     while board.has_legal_moves():
-        assert check_pre_move_floor(board)
         board.apply(rng.choice(board.legal_moves()))
-    assert check_pre_move_floor(board)  # vacuous when terminal
-    with pytest.raises(ValueError):
-        check_pre_move_floor(Board(FIVE_T))
+    return GameRecord(variant, list(board.moves))
+
+
+def test_pre_move_floor():
+    record = random_game(FIVE_D, 4)
+    board = Board(FIVE_D)
+    for move in record.moves:
+        assert potential_report(board).total >= PRE_MOVE_FLOOR
+        board.apply(move)
+    result = verify_record(record)
+    assert result.potential == 144 - len(record.moves)
+    assert result.terminal is not None and sum(result.terminal) >= 7
+    assert result.lines == len(record.moves)
+    # the monitors are 5D-only: a 5T record is replayed but not monitored
+    result = verify_record(random_game(FIVE_T, 4))
+    assert result.potential is None and result.terminal is None
+
+
+def test_verify_record_catches_a_cover_count_corrupted_off_the_move(monkeypatch):
+    """The total is recomputed at every position, so a count broken at a
+    point the move does not touch still fails the identity."""
+    record = random_game(FIVE_D, 6)
+    apply = Board.apply
+
+    def corrupting_apply(board, move):
+        apply(board, move)
+        if board.score == 10:
+            line = set(move.segment(5).points())
+            far = min(p for p in board.initial if p not in line)
+            board.cover_count[far] = board.cover_count.get(far, 0) + 1
+        return board
+
+    monkeypatch.setattr(Board, "apply", corrupting_apply)
+    with pytest.raises(MonitorFailure) as err:
+        verify_record(record)
+    assert err.value.check == "potential"
+    assert str(err.value) == "total != 144-10 after move 10"

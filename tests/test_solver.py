@@ -173,6 +173,7 @@ def test_exhaustive_reports_budget_truncation():
     r = exhaustive_solve(FIVE_D, node_budget=500)
     assert not r.exact
     assert r.stopped_reason == "node-budget"
+    assert r.nodes_expanded == 500
     assert r.best_score >= 1
     assert_well_formed(r.best_record)
 
