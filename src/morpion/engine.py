@@ -7,7 +7,9 @@ and may share at most one point under the T rule.
 
 The board keeps an incremental index of legal moves.  A segment is a legal
 line exactly when it covers one empty point and conflicts with no placed
-same-direction line, so applying a move can only
+same-direction line (:func:`~morpion.geometry.conflicts`, the package's one
+conflict test, over the board's sorted anchor offsets per lattice line), so
+applying a move can only
 
 * invalidate segments whose empty point was just filled,
 * invalidate segments now conflicting with the drawn line (same direction,
@@ -21,7 +23,8 @@ tables held per line length and shared by every board in the process:
 * for a point, the ``4 * alpha`` segments through it, each with its points,
   direction, line key and offset;
 * for a drawn line, the same-direction segments in its conflict window under
-  the D rule and under the T rule.
+  the D rule and under the T rule, sized by
+  :func:`~morpion.geometry.conflict_reach`.
 
 The tables fill lazily, on the first use of a point or line.  They gain
 rows only for points that receive a cross or anchor a placed line, through
@@ -31,8 +34,10 @@ bounded by the points that boards in the process have covered.
 
 ``apply``, ``undo`` and the legal-index rebuild read only from the tables.
 :meth:`Board.legality_failure` and :meth:`Board.check_invariants` derive
-everything from :func:`~morpion.geometry.segment_through` and
-``Segment.points`` instead, as an independent reference.
+every segment from :func:`~morpion.geometry.segment_through` and
+``Segment.points`` instead, as an independent reference; all of them share
+the one conflict test, and ``check_invariants`` also checks the placed lines
+pairwise with :func:`~morpion.geometry.segment_relation`.
 """
 
 from __future__ import annotations
@@ -49,6 +54,8 @@ from .geometry import (
     Point,
     Segment,
     Variant,
+    conflict_reach,
+    conflicts,
     initial_crosses,
     point_at,
     segment_relation,
@@ -144,7 +151,7 @@ class _Geometry:
         seg, _, d, key, off = row
         out = table.get(seg)
         if out is None:
-            reach = _reach(self.alpha, touching)
+            reach = conflict_reach(self.alpha, touching)
             out = table[seg] = tuple(
                 Segment(d, point_at(d, key, o), self.alpha)
                 for o in range(off - reach, off + reach + 1)
@@ -162,11 +169,6 @@ def _geometry(alpha: int) -> _Geometry:
     if geo is None:
         geo = _GEOMETRY[alpha] = _Geometry(alpha)
     return geo
-
-
-def _reach(alpha: int, touching: bool) -> int:
-    """Largest offset gap at which two same-direction lines still conflict."""
-    return alpha - 2 if touching else alpha - 1
 
 
 class Board:
@@ -202,7 +204,7 @@ class Board:
         # lines covering each point; absent means zero
         self.cover_count: dict[Point, int] = {}
         self._geo = _geometry(variant.alpha)
-        self._reach = _reach(variant.alpha, variant.touching_allowed)
+        self._reach = conflict_reach(variant.alpha, variant.touching_allowed)
         # (direction, line_key) -> sorted anchor offsets of placed lines
         self._line_offsets: dict[tuple[Direction, int], list[int]] = {}
         # legal segment -> the move that draws it
@@ -226,9 +228,8 @@ class Board:
         board = cls(variant, crosses)
         alpha = variant.alpha
         for move in moves:
-            board.crosses.add(move.cross)
-        for move in moves:
             seg = move.segment(alpha)
+            board.crosses.add(move.cross)
             board._register_line(board._geo.row(seg))
             board.lines.append(seg)
             board.moves.append(move)
@@ -265,7 +266,7 @@ class Board:
         for p in pts:
             if p != move.cross and p not in self.crosses:
                 return f"(c): point {p[0]},{p[1]} empty"
-        if self._conflicts(seg.direction, seg.key, seg.offset):
+        if conflicts(self._line_offsets, self._reach, seg.direction, seg.key, seg.offset):
             kind = "touches" if not self.variant.touching_allowed else "overlaps"
             return f"(d): line {kind} an existing same-direction line"
         return None
@@ -343,18 +344,6 @@ class Board:
 
     # -- internals -------------------------------------------------------
 
-    def _conflicts(self, direction: Direction, key: int, offset: int) -> bool:
-        offs = self._line_offsets.get((direction, key))
-        if not offs:
-            return False
-        reach = self._reach
-        i = bisect.bisect_left(offs, offset)
-        if i < len(offs) and offs[i] - offset <= reach:
-            return True
-        if i > 0 and offset - offs[i - 1] <= reach:
-            return True
-        return False
-
     def _enter_legal(self, rows: Iterable[_Row]) -> list[Segment]:
         """Index the segments among ``rows`` that are now legal; return them.
 
@@ -363,6 +352,8 @@ class Board:
         """
         crosses = self.crosses
         legal = self._legal
+        offsets = self._line_offsets
+        reach = self._reach
         entered = []
         for seg, pts, d, key, off in rows:
             empty = None
@@ -372,7 +363,7 @@ class Board:
                         break
                     empty = p
             else:
-                if empty is not None and not self._conflicts(d, key, off):
+                if empty is not None and not conflicts(offsets, reach, d, key, off):
                     legal[seg] = Move(empty, d, seg.anchor)
                     entered.append(seg)
         return entered
@@ -445,7 +436,9 @@ class Board:
                 for shift in range(alpha):
                     seg = segment_through(d, cross, shift, alpha)
                     empty = [p for p in seg.points() if p not in self.crosses]
-                    if len(empty) == 1 and not self._conflicts(d, seg.key, seg.offset):
+                    if len(empty) == 1 and not conflicts(
+                        self._line_offsets, self._reach, d, seg.key, seg.offset
+                    ):
                         fresh[seg] = Move(empty[0], d, seg.anchor)
         assert fresh == self._legal, "incremental legal index diverged from rebuild"
 

@@ -1,5 +1,8 @@
 """Lattice geometry: points, the four line directions, segments, and rule variants.
 
+:func:`conflicts` is the one same-direction conflict test, shared by the rules
+engine and the line-counting module; :func:`segment_relation` is its reference.
+
 Coordinates are integer pairs ``(x, y)`` with x growing rightward and y growing
 upward.  The canonical starting layout for line length 5 occupies [0, 9] x [0, 9];
 negative coordinates appear as play expands outward.
@@ -7,6 +10,7 @@ negative coordinates appear as play expands outward.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from enum import IntEnum
 from typing import Iterable, NamedTuple
 
@@ -145,6 +149,26 @@ def segment_relation(a: Segment, b: Segment) -> str:
     if shared == 1:
         return TOUCHING
     return OVERLAPPING
+
+
+def conflict_reach(alpha: int, touching: bool) -> int:
+    """Largest anchor gap at which collinear ``alpha``-lines share a point (D rule) or two (T)."""
+    return alpha - 2 if touching else alpha - 1
+
+
+def conflicts(offsets: dict, reach: int, direction: Direction, key: int, offset: int) -> bool:
+    """Whether a line at ``offset`` on lattice line ``(direction, key)`` conflicts.
+
+    ``offsets`` maps ``(direction, key)`` to the sorted anchor offsets of the
+    lines placed there; ``reach`` is :func:`conflict_reach`.
+    """
+    offs = offsets.get((direction, key))
+    if not offs:
+        return False
+    i = bisect_left(offs, offset)
+    if i < len(offs) and offs[i] - offset <= reach:
+        return True
+    return i > 0 and offset - offs[i - 1] <= reach
 
 
 SUPPORTED_ALPHAS = (3, 4, 5, 6)

@@ -6,6 +6,10 @@ N such lines covering at most N+36 lattice points, so a lower bound c'(N) on
 the points that ANY N valid lines must cover yields a score bound: the first
 N with c'(N) > N + 36 is unreachable, and N-1 bounds the score.
 
+The layout searches test disjointness with the engine's D-rule test,
+:func:`~morpion.geometry.conflicts`; :func:`verify_layout` keeps the pairwise
+:func:`~morpion.geometry.segment_relation` as the reference.
+
 The bound ladder:
 
 * base rule (A): some direction holds at least ceil(N/4) of the lines, and
@@ -23,20 +27,24 @@ exclude, which caps what this style of argument can prove.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .geometry import (
     DIRECTIONS,
+    DISJOINT,
+    DISTINCT_DIRECTION,
     Direction,
     Point,
     Segment,
+    conflict_reach,
+    conflicts,
     line_key,
+    line_offset,
     point_at,
     segment_relation,
-    DISJOINT,
-    DISTINCT_DIRECTION,
 )
 
 
@@ -208,48 +216,7 @@ def infeasibility_scan(rules: frozenset[str], n_max: int) -> int | None:
 
 # -- exact minimum coverage at desk scale ---------------------------------
 
-#: Direction permutations under which an anchors-in-window placement maps to
-#: another anchors-in-window placement (after translation), paired with the
-#: direction subset on which that holds.  Used to pool cache entries.
-_SAFE_PERMS: tuple[tuple[dict[Direction, Direction], frozenset[Direction]], ...] = (
-    # reflect across y=x: anchors swap coordinates exactly for E, N, NE
-    (
-        {Direction.E: Direction.N, Direction.N: Direction.E,
-         Direction.NE: Direction.NE, Direction.SE: Direction.SE},
-        frozenset((Direction.E, Direction.N, Direction.NE)),
-    ),
-    # reflect across the x-axis: exact for E, NE, SE
-    (
-        {Direction.E: Direction.E, Direction.N: Direction.N,
-         Direction.NE: Direction.SE, Direction.SE: Direction.NE},
-        frozenset((Direction.E, Direction.NE, Direction.SE)),
-    ),
-    # rotate a quarter turn: exact for E, SE
-    (
-        {Direction.E: Direction.N, Direction.N: Direction.E,
-         Direction.NE: Direction.SE, Direction.SE: Direction.NE},
-        frozenset((Direction.E, Direction.SE)),
-    ),
-)
-
 _exact_cache: dict[tuple, int] = {}
-
-
-def _canonical_counts(counts: dict[Direction, int]) -> tuple[int, ...]:
-    seen = {tuple(counts[d] for d in DIRECTIONS)}
-    frontier = list(seen)
-    while frontier:
-        tup = frontier.pop()
-        cur = dict(zip(DIRECTIONS, tup))
-        cur_used = frozenset(d for d, c in cur.items() if c)
-        for perm, safe in _SAFE_PERMS:
-            if cur_used <= safe:
-                image = {perm[d]: c for d, c in cur.items() if c}
-                itup = tuple(image.get(d, 0) for d in DIRECTIONS)
-                if itup not in seen:
-                    seen.add(itup)
-                    frontier.append(itup)
-    return min(seen)
 
 
 def min_cover_exact(
@@ -284,7 +251,7 @@ def min_cover_exact(
                 f"too large for exact search: ~{estimate:.2e} placements > budget {node_budget}"
             )
 
-    cache_key = (_canonical_counts(counts), window, alpha)
+    cache_key = (tuple(counts[d] for d in DIRECTIONS), window, alpha)
     if cache_key in _exact_cache:
         return _exact_cache[cache_key]
 
@@ -292,6 +259,7 @@ def min_cover_exact(
     active = [d for d in DIRECTIONS if counts[d]]
     covered: set[Point] = set()
     placed_offsets: dict[tuple[Direction, int], list[int]] = {}
+    reach = conflict_reach(alpha, False)
     best = total * alpha + 1
     nodes = 0
 
@@ -309,9 +277,8 @@ def min_cover_exact(
         for idx in range(start, len(anchors)):
             ax, ay = anchors[idx]
             key = line_key(d, ax, ay)
-            off = ax if d != Direction.N else ay
-            offs = placed_offsets.get((d, key))
-            if offs and any(abs(off - o) < alpha for o in offs):
+            off = line_offset(d, ax, ay)
+            if conflicts(placed_offsets, reach, d, key, off):
                 continue
             nodes += 1
             if nodes > node_budget:
@@ -322,11 +289,10 @@ def min_cover_exact(
             fresh = [p for p in seg.points() if p not in covered]
             covered.update(fresh)
             if len(covered) < best:
-                if offs is None:
-                    offs = placed_offsets[(d, key)] = []
-                offs.append(off)
+                offs = placed_offsets.setdefault((d, key), [])
+                bisect.insort(offs, off)
                 place(di, remaining - 1, idx + 1, min(min_x, ax), min(min_y, ay))
-                offs.pop()
+                offs.remove(off)
             covered.difference_update(fresh)
 
     place(0, counts[active[0]], 0, window, window)
@@ -416,7 +382,7 @@ def pack_runs(points: Iterable[Point], alpha: int = 5) -> Layout:
     for d in DIRECTIONS:
         by_key: dict[int, list[int]] = {}
         for x, y in pts:
-            by_key.setdefault(line_key(d, x, y), []).append(x if d != Direction.N else y)
+            by_key.setdefault(line_key(d, x, y), []).append(line_offset(d, x, y))
         for key, offs in by_key.items():
             offs.sort()
             run_start = offs[0]
@@ -486,10 +452,11 @@ def _improve(layout: Layout, alpha: int = 5) -> Layout:
     new_line_count points beyond its own count plus the slack available).
     """
     segs = layout.segments()
-    # cover counts per point and offsets per lattice line, kept in step with
-    # segs so that each pass is linear in the layout
+    # cover counts per point and sorted offsets per lattice line, kept in
+    # step with segs so that each pass is linear in the layout
     count: dict[Point, int] = {}
     offsets: dict[tuple[Direction, int], list[int]] = {}
+    reach = conflict_reach(alpha, False)
 
     def place(seg: Segment, sign: int) -> None:
         for p in seg.points():
@@ -500,7 +467,7 @@ def _improve(layout: Layout, alpha: int = 5) -> Layout:
                 del count[p]
         line_offs = offsets.setdefault((seg.direction, seg.key), [])
         if sign > 0:
-            line_offs.append(seg.offset)
+            bisect.insort(line_offs, seg.offset)
         else:
             line_offs.remove(seg.offset)
 
@@ -514,22 +481,25 @@ def _improve(layout: Layout, alpha: int = 5) -> Layout:
         for i, seg in enumerate(segs):
             cov = len(count)
             pts = seg.points()
-            mates = list(offsets[seg.direction, seg.key])
-            mates.remove(seg.offset)
+            d, key, offset = seg.direction, seg.key, seg.offset
             # coverage without seg; a candidate adds its points that no
             # other line covers
             rest = cov - sum(1 for p in pts if count[p] == 1)
             best_seg, best_cov = seg, cov
+            # test the shifts against the other lines on seg's lattice line
+            mates = offsets[d, key]
+            mates.remove(offset)
             for delta in (-2, -1, 1, 2):
-                off = seg.offset + delta
-                if any(abs(off - o) < alpha for o in mates):
+                off = offset + delta
+                if conflicts(offsets, reach, d, key, off):
                     continue
-                cand = Segment(seg.direction, point_at(seg.direction, seg.key, off), alpha)
+                cand = Segment(d, point_at(d, key, off), alpha)
                 cand_cov = rest + sum(
                     1 for p in cand.points() if count.get(p, 0) - (p in pts) == 0
                 )
                 if cand_cov < best_cov:
                     best_seg, best_cov = cand, cand_cov
+            bisect.insort(mates, offset)
             if best_seg != seg:
                 place(seg, -1)
                 place(best_seg, 1)
@@ -543,7 +513,7 @@ def _improve(layout: Layout, alpha: int = 5) -> Layout:
         best_fresh = None
         for d, key in sorted(offsets):
             offs = offsets[d, key]
-            for off in (min(offs) - alpha, max(offs) + alpha):
+            for off in (offs[0] - alpha, offs[-1] + alpha):
                 cand = Segment(d, point_at(d, key, off), alpha)
                 fresh = sum(1 for p in cand.points() if p not in count)
                 if best_fresh is None or fresh < best_fresh or (
@@ -615,16 +585,16 @@ def random_layout(rng, max_lines: int = 12, window: int = 20, alpha: int = 5) ->
     """
     kept: list[Segment] = []
     offsets: dict[tuple[Direction, int], list[int]] = {}
+    reach = conflict_reach(alpha, False)
     n = int(rng.integers(0, max_lines + 1))
     for _ in range(n):
         d = DIRECTIONS[int(rng.integers(0, 4))]
         ax = int(rng.integers(0, window))
         ay = int(rng.integers(0, window))
         key = line_key(d, ax, ay)
-        off = ax if d != Direction.N else ay
-        offs = offsets.setdefault((d, key), [])
-        if any(abs(off - o) < alpha for o in offs):
+        off = line_offset(d, ax, ay)
+        if conflicts(offsets, reach, d, key, off):
             continue
-        offs.append(off)
+        bisect.insort(offsets.setdefault((d, key), []), off)
         kept.append(Segment(d, (ax, ay), alpha))
     return Layout.from_segments(kept, alpha)

@@ -57,29 +57,25 @@ class RecordParseError(ValueError):
 
 
 # Cumulative-prefix token lists: on a mismatch the failing token names what
-# was expected and the last matched prefix gives the column.
+# was expected and the last matched prefix gives the column; the groups of a
+# full match are the line's fields.
 _MOVE_PARTS = (
-    (r"\d+", "move index"),
+    (r"(\d+)", "move index"),
     (r" cross=", "' cross='"),
-    (r"-?\d+,-?\d+", "cross coordinates <x>,<y>"),
+    (r"(-?\d+),(-?\d+)", "cross coordinates <x>,<y>"),
     (r" dir=", "' dir='"),
-    (r"(?:NE|SE|E|N)", "direction (E|N|NE|SE)"),
+    (r"(NE|SE|E|N)", "direction (E|N|NE|SE)"),
     (r" anchor=", "' anchor='"),
-    (r"-?\d+,-?\d+", "anchor coordinates <x>,<y>"),
+    (r"(-?\d+),(-?\d+)", "anchor coordinates <x>,<y>"),
     (r"\Z", "end of line"),
 )
 _LAYOUT_PARTS = (
     (r"dir=", "'dir='"),
-    (r"(?:NE|SE|E|N)", "direction (E|N|NE|SE)"),
+    (r"(NE|SE|E|N)", "direction (E|N|NE|SE)"),
     (r" anchor=", "' anchor='"),
-    (r"-?\d+,-?\d+", "anchor coordinates <x>,<y>"),
+    (r"(-?\d+),(-?\d+)", "anchor coordinates <x>,<y>"),
     (r"\Z", "end of line"),
 )
-
-_MOVE_RE = re.compile(
-    r"(\d+) cross=(-?\d+),(-?\d+) dir=(NE|SE|E|N) anchor=(-?\d+),(-?\d+)\Z"
-)
-_LAYOUT_RE = re.compile(r"dir=(NE|SE|E|N) anchor=(-?\d+),(-?\d+)\Z")
 _META_RE = re.compile(r"# ([A-Za-z0-9_.-]+)=(.*)\Z")
 
 
@@ -93,6 +89,17 @@ def _match_parts(parts, text: str, lineno: int) -> re.Match:
             raise RecordParseError(f"expected {want}", lineno, pos + 1)
         pos = m.end()
     return m
+
+
+def _ints(m: re.Match, groups: tuple[int, ...], lineno: int) -> list[int]:
+    """``m``'s digit groups as ints; one over ``int``'s digit limit is a parse error."""
+    out = []
+    for g in groups:
+        try:
+            out.append(int(m.group(g)))
+        except ValueError:
+            raise RecordParseError("integer has too many digits", lineno, m.start(g) + 1) from None
+    return out
 
 
 def _logical_lines(text: str):
@@ -145,14 +152,13 @@ def parse_record(text: str, validate: bool = True) -> GameRecord:
                 raise RecordParseError(f"duplicate metadata key {m.group(1)!r}", lineno)
             metadata[m.group(1)] = m.group(2)
             continue
-        _match_parts(_MOVE_PARTS, raw, lineno)
-        m = _MOVE_RE.match(raw)
-        index, cx, cy, dname, ax, ay = m.groups()
-        if int(index) != len(moves) + 1:
+        m = _match_parts(_MOVE_PARTS, raw, lineno)
+        index, cx, cy, ax, ay = _ints(m, (1, 2, 3, 5, 6), lineno)
+        if index != len(moves) + 1:
             raise RecordParseError(
                 f"move index {index} out of order (expected {len(moves) + 1})", lineno, 1
             )
-        moves.append(Move((int(cx), int(cy)), Direction[dname], (int(ax), int(ay))))
+        moves.append(Move((cx, cy), Direction[m.group(4)], (ax, ay)))
 
     record = GameRecord(variant, moves, metadata)
     if validate:
@@ -192,16 +198,15 @@ def parse_layout(text: str) -> Layout:
         raise RecordParseError(
             f"unsupported layout version v{header.group(1)} (supported: v1)", 1
         )
-    alpha = int(header.group(2))
+    (alpha,) = _ints(header, (2,), 1)
     if alpha not in SUPPORTED_ALPHAS:
         raise RecordParseError(f"alpha={alpha} out of range (supported: 3..6)", 1)
 
     segments = []
     for lineno, raw in enumerate(lines[1:], start=2):
-        _match_parts(_LAYOUT_PARTS, raw, lineno)
-        m = _LAYOUT_RE.match(raw)
-        dname, ax, ay = m.groups()
-        segments.append(Segment(Direction[dname], (int(ax), int(ay)), alpha))
+        m = _match_parts(_LAYOUT_PARTS, raw, lineno)
+        ax, ay = _ints(m, (2, 3), lineno)
+        segments.append(Segment(Direction[m.group(1)], (ax, ay), alpha))
     layout = Layout.from_segments(segments, alpha)
     ok, why = verify_layout(layout)
     if not ok:

@@ -8,9 +8,10 @@ are honored but a run that stops on time rather than nodes is not guaranteed
 to be reproducible.
 
 Every record leaving this module passes a bound guard: it must replay
-legally with N lines and N+36 crosses, and a 5D record longer than the
-proven maxima (121 by line counting, 136 by potential) fails hard since
-that can only mean an engine bug.
+legally with N lines and N+36 crosses, and a 5D record longer than
+``FIVE_D_LINE_BOUND`` (121, the line-counting bound; the potential bounds
+in ``potential.PUBLISHED_BOUNDS`` are all weaker) fails hard since that can
+only mean an engine bug.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .engine import Board, GameRecord, Move, replay
 from .geometry import DIRECTIONS, Direction, Point, Variant, initial_crosses
 
 FIVE_D_LINE_BOUND = 121
-FIVE_D_POTENTIAL_BOUND = 136
 DEFAULT_NODE_BUDGET = 10**8
 
 STRATEGIES = ("random", "greedy", "beam", "nmcs", "exhaustive")
@@ -226,10 +226,11 @@ def beam_search(
         if not alive or not candidates:
             break
         candidates.sort(key=itemgetter(0))
-        nodes += len(candidates)
-        if nodes > node_budget:
+        # a level is counted whole or not at all, so nodes never pass the budget
+        if nodes + len(candidates) > node_budget:
             reason = "node-budget"
             break
+        nodes += len(candidates)
         next_beam = []
         for _, bi, m in candidates[:width]:
             next_beam.append(beam[bi].copy().apply(m))
@@ -272,12 +273,13 @@ class _Nmcs:
         self.best_score = -1
         self.best_moves: list[Move] = []
 
-    def _tick(self, steps: int) -> None:
-        self.nodes += steps
-        if self.nodes > self.node_budget:
+    def _tick(self) -> None:
+        """Count one move about to be applied, or stop before it."""
+        if self.nodes >= self.node_budget:
             raise _Stop("node-budget")
         if self.deadline is not None and time.perf_counter() > self.deadline:
             raise _Stop("time-budget")
+        self.nodes += 1
 
     def _record_if_best(self, board: Board) -> None:
         if board.score > self.best_score:
@@ -291,8 +293,13 @@ class _Nmcs:
         """Random finish from the position; board itself is untouched."""
         copy = board.copy()
         depth = len(copy.moves)
-        _playout(copy, self.rng)
-        self._tick(copy.score - depth)
+        rng = self.rng
+        while True:
+            moves = copy.legal_moves()
+            if not moves:
+                break
+            self._tick()
+            copy.apply(moves[int(rng.integers(0, len(moves)))])
         self._record_if_best(copy)
         return copy.score, copy.moves[depth:]
 
@@ -306,7 +313,7 @@ class _Nmcs:
                 self._record_if_best(board)
                 return
             for m in moves:
-                self._tick(1)
+                self._tick()
                 board.apply(m)
                 if level <= 1:
                     s, cont = self.playout_suffix(board)

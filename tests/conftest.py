@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from morpion.geometry import Direction, Segment
+from morpion.geometry import Segment, point_at
 from morpion.linecover import Layout
 
 
@@ -18,13 +18,16 @@ def two_direction_layout(rng, d1, d2, k, alpha=5):
         keys = rng.choice(np.arange(-30, 31), size=n, replace=False)
         for key in keys:
             off = int(rng.integers(-30, 31))
-            if d == Direction.E:
-                seg = Segment(d, (off, int(key)), alpha)
-            elif d == Direction.N:
-                seg = Segment(d, (int(key), off), alpha)
-            elif d == Direction.NE:
-                seg = Segment(d, (off, off - int(key)), alpha)
-            else:
-                seg = Segment(d, (off, int(key) - off), alpha)
-            segments.append(seg)
+            segments.append(Segment(d, point_at(d, int(key), off), alpha))
     return Layout.from_segments(segments, alpha)
+
+
+# one field at a time over the interpreter's 4,300-digit int() limit
+HUGE = "9" * 5000
+OVERSIZED_FIELDS = {
+    "move index": ("morpion-record v1 variant=5D\n{} cross=4,-1 dir=N anchor=4,-1\n", 2, 1),
+    "cross": ("morpion-record v1 variant=5D\n1 cross={},-1 dir=N anchor=4,-1\n", 2, 9),
+    "anchor": ("morpion-record v1 variant=5D\n1 cross=4,-1 dir=N anchor=4,-{}\n", 2, 29),
+    "layout alpha": ("morpion-layout v1 alpha={}\n", 1, 25),
+    "layout anchor": ("morpion-layout v1 alpha=5\ndir=E anchor={},0\n", 2, 14),
+}

@@ -16,6 +16,8 @@ from morpion.cli import main
 from morpion.recordio import parse_layout, parse_record
 from morpion.solver import SearchConfig
 
+from conftest import HUGE, OVERSIZED_FIELDS
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -253,6 +255,25 @@ def test_layout_with_unsupported_alpha_exits_1(capsys, tmp_path):
     code, _, err = run(capsys, "render", str(path))
     assert code == 1
     assert "out of range" in err
+
+
+@pytest.mark.parametrize(
+    "command, field",
+    [
+        (command, field)
+        for field, (template, _, _) in sorted(OVERSIZED_FIELDS.items())
+        for command in ("verify", "replay", "render")
+        if command == "render" or template.startswith("morpion-record")
+    ],
+)
+def test_oversized_integer_exits_1(capsys, tmp_path, command, field):
+    template, line, column = OVERSIZED_FIELDS[field]
+    path = tmp_path / "huge.txt"
+    path.write_text(template.format(HUGE))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: line {line}, col {column}: integer has too many digits\n"
 
 
 def test_render_of_far_apart_layout_lines_exits_1(capsys, tmp_path):

@@ -289,3 +289,13 @@ def test_six_variant_initial_moves_match_oracle():
     assert len(board.crosses) == 48
     assert set(board.legal_moves()) == oracle_moves(board)
     assert len(board.legal_moves()) == 24
+
+
+def test_force_reads_an_iterator_of_moves_once():
+    move = Move((2, 0), Direction.E, (0, 0))
+    crosses = [(0, 0), (1, 0), (3, 0), (4, 0)]
+    board = Board.force(FIVE_D, iter([move]), crosses)
+    assert board.moves == [move]
+    assert board.lines == [move.segment(5)]
+    assert board.crosses == set(crosses) | {move.cross}
+    board.check_invariants()

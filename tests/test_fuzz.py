@@ -1,0 +1,106 @@
+"""Fuzzing of the file parsers and the CLI that reads files.
+
+Bad input must fail with the documented error types (``RecordParseError``,
+``IllegalMoveError``, ``LayoutError``) and the CLI with exit code 1 or 2,
+never with another exception.  Texts are built from record and layout
+fragments (a legal game's moves, well-formed and mangled lines, oversized
+integers) as well as from arbitrary characters, so that examples get past
+the header into the move, replay and render paths.
+"""
+
+import contextlib
+import io
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from morpion.cli import main
+from morpion.engine import IllegalMoveError
+from morpion.geometry import FIVE_D
+from morpion.linecover import LayoutError
+from morpion.recordio import RecordParseError, emit_record, parse_layout, parse_record
+from morpion.solver import random_playout
+
+from conftest import HUGE
+
+GAME_LINES = emit_record(random_playout(FIVE_D, 0)).splitlines()[1:]
+
+numbers = st.one_of(
+    st.integers(min_value=-12, max_value=12).map(str),
+    st.text("0123456789-", min_size=1, max_size=4),
+    st.just(HUGE),
+)
+dirs = st.sampled_from(["E", "N", "NE", "SE", "X"])
+record_headers = st.sampled_from(
+    [
+        "morpion-record v1 variant=5D",
+        "morpion-record v1 variant=5T",
+        "morpion-record v1 variant=6D",
+        "morpion-record v2 variant=5D",
+        "morpion-record v1 variant=9Q",
+    ]
+)
+layout_headers = st.one_of(
+    st.sampled_from(["morpion-layout v1 alpha=5", "morpion-layout v0 alpha=5"]),
+    numbers.map("morpion-layout v1 alpha={}".format),
+)
+move_lines = st.builds(
+    "{} cross={},{} dir={} anchor={},{}".format,
+    st.one_of(st.integers(min_value=1, max_value=14).map(str), numbers),
+    numbers, numbers, dirs, numbers, numbers,
+)
+layout_lines = st.builds("dir={} anchor={},{}".format, dirs, numbers, numbers)
+junk_lines = st.one_of(
+    st.sampled_from(["# seed=1", "#", "# bad key=1", ""]), st.text(max_size=30)
+)
+
+
+@st.composite
+def files(draw):
+    """A record (a legal game's first moves) or a layout, with fuzzed lines mixed in."""
+    if draw(st.booleans()):
+        lines = [draw(record_headers)]
+        lines += GAME_LINES[: draw(st.integers(min_value=0, max_value=12))]
+        fuzzed = move_lines
+    else:
+        lines = [draw(layout_headers)]
+        fuzzed = layout_lines
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        line = draw(st.one_of(fuzzed, fuzzed, junk_lines))
+        lines.insert(draw(st.integers(min_value=1, max_value=len(lines))), line)
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\r\n", "\n\n"]))
+
+
+texts = st.one_of(files(), files(), files(), st.text(max_size=200))
+FUZZ = settings(max_examples=300, deadline=None)
+
+
+@FUZZ
+@given(texts, st.booleans())
+def test_parse_record_raises_only_documented_errors(text, validate):
+    try:
+        parse_record(text, validate=validate)
+    except (RecordParseError, IllegalMoveError):
+        pass
+
+
+@FUZZ
+@given(texts)
+def test_parse_layout_raises_only_documented_errors(text):
+    try:
+        parse_layout(text)
+    except (RecordParseError, LayoutError):
+        pass
+
+
+@settings(FUZZ, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(texts, st.sampled_from(["verify", "replay", "render"]))
+def test_main_reading_fuzzed_files_exits_0_1_or_2(tmp_path, text, command):
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8", newline="")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, str(path)])
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err.getvalue() == ""

@@ -1,7 +1,7 @@
 """Lattice primitives: direction/key/offset coordinates, segments, variants."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morpion.geometry import (
@@ -16,6 +16,8 @@ from morpion.geometry import (
     Segment,
     Variant,
     bounding_box,
+    conflict_reach,
+    conflicts,
     initial_crosses,
     line_key,
     line_offset,
@@ -76,6 +78,37 @@ def test_segment_relation_matches_set_arithmetic(d1, d2, x1, y1, x2, y2):
     shared = len(set(a.points()) & set(b.points()))
     want = {0: DISJOINT, 1: TOUCHING}.get(shared, OVERLAPPING)
     assert got == want
+
+
+# lines as (direction, key, offset), crowded onto a few lattice lines so that
+# most pairs are collinear
+crowded_lines = st.tuples(
+    directions, st.integers(min_value=-1, max_value=1), st.integers(min_value=-12, max_value=12)
+)
+
+
+@settings(max_examples=500)
+@given(
+    st.sampled_from(SUPPORTED_ALPHAS),
+    st.booleans(),
+    st.lists(crowded_lines, max_size=8),
+    crowded_lines,
+)
+def test_conflicts_agrees_with_segment_relation(alpha, touching, placed, probe):
+    """The indexed test equals the pairwise rule: overlap, or touching under D."""
+    offsets = {}
+    for d, key, off in placed:
+        offsets.setdefault((d, key), []).append(off)
+    for offs in offsets.values():
+        offs.sort()
+
+    def seg(d, key, off):
+        return Segment(d, point_at(d, key, off), alpha)
+
+    new = seg(*probe)
+    forbidden = {OVERLAPPING} if touching else {OVERLAPPING, TOUCHING}
+    want = any(segment_relation(new, seg(*line)) in forbidden for line in placed)
+    assert conflicts(offsets, conflict_reach(alpha, touching), *probe) == want
 
 
 def test_variant_names_roundtrip():

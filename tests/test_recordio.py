@@ -20,6 +20,8 @@ from morpion.recordio import (
 )
 from morpion.solver import greedy, random_playout
 
+from conftest import HUGE, OVERSIZED_FIELDS
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -203,6 +205,16 @@ def test_layout_parse_errors():
         parse_layout(
             "morpion-layout v1 alpha=5\ndir=E anchor=0,0\ndir=E anchor=3,0\n"
         )
+
+
+@pytest.mark.parametrize("field", sorted(OVERSIZED_FIELDS))
+def test_oversized_integers_are_parse_errors_naming_the_field(field):
+    template, line, column = OVERSIZED_FIELDS[field]
+    parse = parse_layout if template.startswith("morpion-layout") else parse_record
+    with pytest.raises(RecordParseError) as err:
+        parse(template.format(HUGE))
+    assert (err.value.line, err.value.column) == (line, column)
+    assert "too many digits" in str(err.value)
 
 
 def test_layout_alpha_other_than_five():

@@ -19,8 +19,10 @@ from morpion.geometry import (
     Direction,
     Variant,
 )
+from morpion.linecover import ALL_RULES, infeasibility_scan
 from morpion.solver import (
     _SYMMETRIES,
+    FIVE_D_LINE_BOUND,
     SearchConfig,
     _SymmetricKeys,
     beam_search,
@@ -129,6 +131,20 @@ def test_nmcs_node_budget_flags_truncation():
     r = nmcs(FIVE_D, 1, 0, node_budget=2000)
     assert r.stopped_reason == "node-budget"
     assert not r.complete
+    # every move is counted before it is applied, playout moves included,
+    # so the run stops exactly at the budget
+    assert r.nodes_expanded == 2000
+    assert_well_formed(r.best_record)
+
+
+def test_beam_node_budget_flags_truncation():
+    full = beam_search(FIVE_D, 16, 0)
+    r = beam_search(FIVE_D, 16, 0, node_budget=2000)
+    assert full.complete and full.nodes_expanded > 2000
+    assert r.stopped_reason == "node-budget"
+    assert not r.complete
+    # a level whose candidates would pass the budget is not counted
+    assert r.nodes_expanded <= 2000
     assert_well_formed(r.best_record)
 
 
@@ -365,6 +381,10 @@ def test_bound_guard_rejects_impossible_records():
     record = GameRecord(FIVE_D, long_moves, {})
     with pytest.raises(AssertionError):
         check_record_bounds(record)
+
+
+def test_line_bound_guard_is_the_line_counting_scan():
+    assert FIVE_D_LINE_BOUND == infeasibility_scan(ALL_RULES, 200)
 
 
 def test_all_strategy_records_replay_with_n_lines_and_n_plus_36_crosses():
