@@ -79,8 +79,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise RecordParseError(f"byte 0x{data[exc.start]:02x} is not UTF-8", line) from None
 
 
 def _cmd_verify(args) -> int:

@@ -8,29 +8,34 @@ and may share at most one point under the T rule.
 The board keeps an incremental index of legal moves.  A segment is a legal
 line exactly when it covers one empty point and conflicts with no placed
 same-direction line (:func:`~morpion.geometry.conflicts`, the package's one
-conflict test, over the board's sorted anchor offsets per lattice line), so
-applying a move can only
+conflict test, over the board's sorted anchor offsets per lattice line).
+The index holds each legal move four ways:
 
-* invalidate segments whose empty point was just filled,
-* invalidate segments now conflicting with the drawn line (same direction,
-  same lattice line, nearby offset), and
-* validate segments covering the new cross that previously had two empty
-  points.
+* keyed by the move, with its segment's row (points, direction, line key,
+  offset), so :meth:`Board.apply` tests legality with one lookup;
+* grouped by its one empty point, so one ``pop`` at the new cross removes
+  every move that the cross fills, the played one included;
+* grouped by lattice line ``(direction, key)``, so the moves the drawn line
+  rules out are found among the few legal moves on its own lattice line;
+* in one list in canonical order, kept sorted with :mod:`bisect`.
 
-All three groups are local to the move.  Their geometry comes from segment
-tables held per line length and shared by every board in the process:
+Applying a move can only validate segments through its cross that had two
+empty points.  For each direction, the crosses among the ``2 * alpha - 2``
+neighbours of the cross along it form a pattern; a table per line length
+maps each pattern to the windows through the cross that it leaves with
+exactly one empty point, and to where that point is.  The table depends on
+nothing but ``alpha``, so :meth:`Board.undo` has nothing to reverse in it.
 
-* for a point, the ``4 * alpha`` segments through it, each with its points,
-  direction, line key and offset;
-* for a drawn line, the same-direction segments in its conflict window under
-  the D rule and under the T rule, sized by
-  :func:`~morpion.geometry.conflict_reach`.
-
-The tables fill lazily, on the first use of a point or line.  They gain
-rows only for points that receive a cross or anchor a placed line, through
-the constructors or a legal :meth:`Board.apply` (an illegal move is rejected
-before any lookup), and windows only for drawn lines, so their size is
-bounded by the points that boards in the process have covered.
+The point geometry comes from tables held per line length and shared by
+every board in the process: for a point, per direction, its neighbours and
+the rows of the ``alpha`` segments through it.  Both tables fill lazily, the
+pattern table on the first use of a pattern and the point table on the first
+use of a point.  Points gain entries only when they receive a cross or
+anchor a placed line, through the constructors or a legal
+:meth:`Board.apply` (an illegal move is rejected before any lookup), so the
+point table is bounded by the points that boards in the process have
+covered.  ``Board(variant)`` at the standard start copies one prototype
+board per variant and process.
 
 ``apply``, ``undo`` and the legal-index rebuild read only from the tables.
 :meth:`Board.legality_failure` and :meth:`Board.check_invariants` derive
@@ -57,7 +62,8 @@ from .geometry import (
     conflict_reach,
     conflicts,
     initial_crosses,
-    point_at,
+    line_key,
+    line_offset,
     segment_relation,
     segment_through,
 )
@@ -102,61 +108,85 @@ class GameRecord:
     metadata: dict[str, str] = field(default_factory=dict)
 
 
-# (segment, its points, direction, line key, offset)
-_Row = tuple[Segment, tuple[Point, ...], Direction, int, int]
+# a segment: (its points from the anchor, direction, line key, anchor offset,
+# (direction, line key))
+_Row = tuple[tuple[Point, ...], Direction, int, int, tuple[Direction, int]]
+# a point along one direction: (direction, its neighbours and the rows of the
+# segments through it, both in _Windows order)
+_Around = tuple[Direction, tuple[Point, ...], tuple[_Row, ...]]
+
+
+class _Windows(dict):
+    """Neighbour pattern -> the windows through a cross that it leaves with
+    one empty point; filled on first use of each pattern.
+
+    ``pattern[k]`` is nonzero when neighbour ``k`` of the cross bears a cross.
+    The ``2 * alpha - 2`` neighbours are the points ``alpha - 1`` steps or
+    fewer from the cross along one direction, in step order, the cross itself
+    left out.  Window ``i`` is the segment anchored at line position ``i``
+    (the cross is at ``alpha - 1``); it covers neighbours ``i`` to
+    ``i + alpha - 2``.  Each hit is ``(i, k)``, ``k`` the window's one empty
+    neighbour, in increasing ``i``.
+    """
+
+    def __init__(self, alpha: int):
+        super().__init__()
+        self.alpha = alpha
+
+    def __missing__(self, pattern: bytes) -> tuple[tuple[int, int], ...]:
+        alpha = self.alpha
+        found = []
+        for i in range(alpha):
+            empty = [k for k in range(i, i + alpha - 1) if not pattern[k]]
+            if len(empty) == 1:
+                found.append((i, empty[0]))
+        hits = self[pattern] = tuple(found)
+        return hits
 
 
 class _Geometry:
-    """Segment tables for one line length; each lookup fills what it misses.
+    """Point and segment tables for one line length; lookups fill what they miss.
 
-    :meth:`through` gives the rows of the segments covering a point in
-    (direction, shift) order, :meth:`row` the row of one segment, and
-    :meth:`window` the same-direction segments that a drawn line rules out
-    under the D or T rule, the line itself included, in offset order.
+    :meth:`around` gives a point's neighbours and segment rows in each
+    direction, and :meth:`row` the row of one segment.
     """
 
-    __slots__ = ("alpha", "by_point", "by_segment", "windows")
+    __slots__ = ("alpha", "by_point", "rows", "windows")
 
     def __init__(self, alpha: int):
         self.alpha = alpha
-        self.by_point: dict[Point, tuple[_Row, ...]] = {}
-        self.by_segment: dict[Segment, _Row] = {}
-        self.windows: tuple[dict[Segment, tuple[Segment, ...]], ...] = ({}, {})
+        self.by_point: dict[Point, tuple[_Around, ...]] = {}
+        self.rows: dict[tuple[Direction, Point], _Row] = {}
+        self.windows = _Windows(alpha)
 
-    def through(self, point: Point) -> tuple[_Row, ...]:
-        rows = self.by_point.get(point)
-        if rows is None:
+    def around(self, point: Point) -> tuple[_Around, ...]:
+        found = self.by_point.get(point)
+        if found is None:
             alpha = self.alpha
-            found = []
+            x, y = point
+            per_direction = []
             for d in DIRECTIONS:
-                for shift in range(alpha):
-                    seg = segment_through(d, point, shift, alpha)
-                    row = self.by_segment.get(seg)
-                    if row is None:
-                        row = (seg, seg.points(), d, seg.key, seg.offset)
-                        self.by_segment[seg] = row
-                    found.append(row)
-            rows = self.by_point[point] = tuple(found)
-        return rows
+                sx, sy = d.step
+                line = [(x + t * sx, y + t * sy) for t in range(1 - alpha, alpha)]
+                rows = tuple(self._row(d, tuple(line[i : i + alpha])) for i in range(alpha))
+                per_direction.append((d, tuple(line[: alpha - 1] + line[alpha:]), rows))
+            found = self.by_point[point] = tuple(per_direction)
+        return found
 
-    def row(self, seg: Segment) -> _Row:
-        row = self.by_segment.get(seg)
+    def _row(self, d: Direction, points: tuple[Point, ...]) -> _Row:
+        anchor = points[0]
+        row = self.rows.get((d, anchor))
         if row is None:
-            self.through(seg.anchor)
-            row = self.by_segment[seg]
+            key = line_key(d, *anchor)
+            row = self.rows[d, anchor] = (points, d, key, line_offset(d, *anchor), (d, key))
         return row
 
-    def window(self, row: _Row, touching: bool) -> tuple[Segment, ...]:
-        table = self.windows[touching]
-        seg, _, d, key, off = row
-        out = table.get(seg)
-        if out is None:
-            reach = conflict_reach(self.alpha, touching)
-            out = table[seg] = tuple(
-                Segment(d, point_at(d, key, o), self.alpha)
-                for o in range(off - reach, off + reach + 1)
-            )
-        return out
+    def row(self, d: Direction, anchor: Point) -> _Row:
+        row = self.rows.get((d, anchor))
+        if row is None:
+            self.around(anchor)
+            row = self.rows[d, anchor]
+        return row
 
 
 # one per line length, shared by every board in the process; a row depends
@@ -171,11 +201,27 @@ def _geometry(alpha: int) -> _Geometry:
     return geo
 
 
+# the standard start of each variant, built once per process and only copied
+_START: dict[Variant, "Board"] = {}
+
+
+def _ungroup(groups: dict, key, move: Move) -> None:
+    """Take ``move`` out of the tuple ``groups[key]``, dropping the key when empty."""
+    group = groups[key]
+    if len(group) == 1:
+        del groups[key]
+    else:
+        i = group.index(move)
+        groups[key] = group[:i] + group[i + 1 :]
+
+
 class Board:
     """Mutable game state with an incrementally maintained legal-move index.
 
-    Single-writer: never mutate one board from two threads.  ``copy`` is the
-    supported way to fan out.
+    Without ``crosses`` the board starts from the variant's standard crosses,
+    copied from a start board built once per process.  Single-writer: never
+    mutate one board from two threads.  ``copy`` is the supported way to fan
+    out.
     """
 
     __slots__ = (
@@ -183,32 +229,41 @@ class Board:
         "initial",
         "crosses",
         "moves",
-        "lines",
         "cover_count",
         "_geo",
         "_reach",
         "_line_offsets",
         "_legal",
+        "_by_empty",
+        "_by_line",
+        "_ordered",
         "_trail",
     )
 
     def __init__(self, variant: Variant, crosses: Iterable[Point] | None = None):
-        self.variant = variant
         if crosses is None:
-            self.initial = initial_crosses(variant.alpha)
-        else:
-            self.initial = frozenset(crosses)
+            start = _START.get(variant)
+            if start is None:
+                start = _START[variant] = Board(variant, initial_crosses(variant.alpha))
+            self._copy_from(start)
+            return
+        self.variant = variant
+        self.initial = frozenset(crosses)
         self.crosses: set[Point] = set(self.initial)
         self.moves: list[Move] = []
-        self.lines: list[Segment] = []
         # lines covering each point; absent means zero
         self.cover_count: dict[Point, int] = {}
         self._geo = _geometry(variant.alpha)
         self._reach = conflict_reach(variant.alpha, variant.touching_allowed)
         # (direction, line_key) -> sorted anchor offsets of placed lines
         self._line_offsets: dict[tuple[Direction, int], list[int]] = {}
-        # legal segment -> the move that draws it
-        self._legal: dict[Segment, Move] = {}
+        # legal move -> its segment's row
+        self._legal: dict[Move, _Row] = {}
+        # empty point / (direction, line_key) -> the legal moves there
+        self._by_empty: dict[Point, tuple[Move, ...]] = {}
+        self._by_line: dict[tuple[Direction, int], tuple[Move, ...]] = {}
+        # the legal moves in canonical order
+        self._ordered: list[Move] = []
         self._trail: list[tuple] = []
         self._rebuild_legal()
 
@@ -226,12 +281,9 @@ class Board:
         resulting board has history but no undo trail.
         """
         board = cls(variant, crosses)
-        alpha = variant.alpha
         for move in moves:
-            seg = move.segment(alpha)
             board.crosses.add(move.cross)
-            board._register_line(board._geo.row(seg))
-            board.lines.append(seg)
+            board._register_line(board._geo.row(move.direction, move.anchor))
             board.moves.append(move)
         board._rebuild_legal()
         return board
@@ -242,9 +294,15 @@ class Board:
     def score(self) -> int:
         return len(self.moves)
 
+    @property
+    def lines(self) -> list[Segment]:
+        """The drawn lines, one per move, in move order."""
+        alpha = self.variant.alpha
+        return [m.segment(alpha) for m in self.moves]
+
     def legal_moves(self) -> list[Move]:
         """All legal moves, canonically sorted by (cross, direction, anchor)."""
-        return sorted(self._legal.values())
+        return self._ordered[:]
 
     def has_legal_moves(self) -> bool:
         return bool(self._legal)
@@ -255,11 +313,11 @@ class Board:
         return (reason is None, reason)
 
     def legality_failure(self, move: Move) -> str | None:
-        seg = move.segment(self.variant.alpha)
-        if self._legal.get(seg) == move:
+        if move in self._legal:
             return None
         if move.cross in self.crosses:
             return f"(a): point {move.cross[0]},{move.cross[1]} already bears a cross"
+        seg = move.segment(self.variant.alpha)
         pts = seg.points()
         if move.cross not in pts:
             return "(b): line does not cover the placed cross"
@@ -281,106 +339,128 @@ class Board:
     # -- mutation --------------------------------------------------------
 
     def apply(self, move: Move) -> "Board":
-        seg = Segment(move.direction, move.anchor, self.variant.alpha)
         legal = self._legal
-        if legal.get(seg) != move:
+        row = legal.get(move)
+        if row is None:
             reason = self.legality_failure(move)
             raise IllegalMoveError(reason or "not currently legal", move)
 
-        geo = self._geo
         cross = move.cross
-        through = geo.through(cross)
-        line = geo.row(seg)
-        removed: list[tuple[Segment, Move]] = []
-
-        # segments through the cross, whose single empty point was just
-        # filled, then segments conflicting with the drawn line
-        for row in through:
-            old = legal.pop(row[0], None)
-            if old is not None:
-                removed.append((row[0], old))
-        for cand in geo.window(line, self.variant.touching_allowed):
-            old = legal.pop(cand, None)
-            if old is not None:
-                removed.append((cand, old))
+        by_line = self._by_line
+        ordered = self._ordered
+        removed: list[tuple[Move, _Row]] = []
+        # every legal move whose one empty point is the new cross, this one
+        # included, then the legal moves the drawn line conflicts with
+        for m in self._by_empty.pop(cross):
+            r = legal.pop(m)
+            _ungroup(by_line, r[4], m)
+            del ordered[bisect.bisect_left(ordered, m)]
+            removed.append((m, r))
+        off = row[3]
+        reach = self._reach
+        for m in by_line.get(row[4], ()):
+            if abs(legal[m][3] - off) <= reach:
+                removed.append((m, self._unindex(m)))
 
         self.crosses.add(cross)
-        self._register_line(line)
-        self.lines.append(seg)
+        self._register_line(row)
         self.moves.append(move)
-        added = self._enter_legal(through)
-        self._trail.append((move, line, removed, added))
+        added = self._enter_legal(cross, move.direction)
+        self._trail.append((move, row, removed, added))
         return self
 
     def undo(self) -> "Board":
         if not self._trail:
             raise IndexError("undo on a board with no moves")
-        move, line, removed, added = self._trail.pop()
-        legal = self._legal
-        for cand in added:
-            del legal[cand]
-        self._unregister_line(line)
-        self.lines.pop()
+        move, row, removed, added = self._trail.pop()
+        for m in added:
+            self._unindex(m)
+        self._unregister_line(row)
         self.moves.pop()
         self.crosses.discard(move.cross)
-        for cand, old in removed:
-            legal[cand] = old
+        for m, r in removed:
+            self._index(m, r)
         return self
 
     def copy(self) -> "Board":
         clone = object.__new__(Board)
-        clone.variant = self.variant
-        clone.initial = self.initial
-        clone.crosses = set(self.crosses)
-        clone.moves = list(self.moves)
-        clone.lines = list(self.lines)
-        clone.cover_count = dict(self.cover_count)
-        clone._geo = self._geo
-        clone._reach = self._reach
-        clone._line_offsets = {k: list(v) for k, v in self._line_offsets.items()}
-        clone._legal = dict(self._legal)
-        clone._trail = list(self._trail)
+        clone._copy_from(self)
         return clone
 
     # -- internals -------------------------------------------------------
 
-    def _enter_legal(self, rows: Iterable[_Row]) -> list[Segment]:
-        """Index the segments among ``rows`` that are now legal; return them.
+    def _copy_from(self, other: "Board") -> None:
+        self.variant = other.variant
+        self.initial = other.initial
+        self.crosses = set(other.crosses)
+        self.moves = list(other.moves)
+        self.cover_count = dict(other.cover_count)
+        self._geo = other._geo
+        self._reach = other._reach
+        self._line_offsets = {k: list(v) for k, v in other._line_offsets.items()}
+        self._legal = dict(other._legal)
+        self._by_empty = dict(other._by_empty)
+        self._by_line = dict(other._by_line)
+        self._ordered = list(other._ordered)
+        self._trail = list(other._trail)
 
-        A segment is legal when exactly one of its points is empty and it
-        conflicts with no placed same-direction line.
+    def _index(self, move: Move, row: _Row) -> None:
+        self._legal[move] = row
+        group = self._by_empty.get(move.cross)
+        self._by_empty[move.cross] = (move,) if group is None else group + (move,)
+        group = self._by_line.get(row[4])
+        self._by_line[row[4]] = (move,) if group is None else group + (move,)
+        bisect.insort(self._ordered, move)
+
+    def _unindex(self, move: Move) -> _Row:
+        row = self._legal.pop(move)
+        _ungroup(self._by_empty, move.cross, move)
+        _ungroup(self._by_line, row[4], move)
+        ordered = self._ordered
+        del ordered[bisect.bisect_left(ordered, move)]
+        return row
+
+    def _enter_legal(self, cross: Point, drawn: Direction | None) -> list[Move]:
+        """Index the legal moves through the cross at ``cross``; return them.
+
+        They are the windows through ``cross`` with one empty point that
+        conflict with no placed line and are not indexed yet.  ``drawn`` is
+        the direction of a line just drawn through ``cross``: under the D rule
+        every window along it shares the cross with that line, so none is
+        tested.
         """
-        crosses = self.crosses
+        skip = None if self.variant.touching_allowed else drawn
+        has = self.crosses.__contains__
         legal = self._legal
+        windows = self._geo.windows
         offsets = self._line_offsets
         reach = self._reach
         entered = []
-        for seg, pts, d, key, off in rows:
-            empty = None
-            for p in pts:
-                if p not in crosses:
-                    if empty is not None:
-                        break
-                    empty = p
-            else:
-                if empty is not None and not conflicts(offsets, reach, d, key, off):
-                    legal[seg] = Move(empty, d, seg.anchor)
-                    entered.append(seg)
+        for d, nbrs, rows in self._geo.around(cross):
+            if d is skip:
+                continue
+            for i, k in windows[bytes(map(has, nbrs))]:
+                row = rows[i]
+                if not conflicts(offsets, reach, d, row[2], row[3]):
+                    m = Move(nbrs[k], d, row[0][0])
+                    if m not in legal:
+                        self._index(m, row)
+                        entered.append(m)
         return entered
 
     def _register_line(self, row: _Row) -> None:
-        _, pts, d, key, off = row
-        bisect.insort(self._line_offsets.setdefault((d, key), []), off)
+        pts, _, _, off, line = row
+        bisect.insort(self._line_offsets.setdefault(line, []), off)
         cover = self.cover_count
         for p in pts:
             cover[p] = cover.get(p, 0) + 1
 
     def _unregister_line(self, row: _Row) -> None:
-        _, pts, d, key, off = row
-        offs = self._line_offsets[d, key]
+        pts, _, _, off, line = row
+        offs = self._line_offsets[line]
         offs.remove(off)
         if not offs:
-            del self._line_offsets[d, key]
+            del self._line_offsets[line]
         cover = self.cover_count
         for p in pts:
             n = cover[p] - 1
@@ -390,10 +470,14 @@ class Board:
                 del cover[p]
 
     def _rebuild_legal(self) -> None:
-        self._legal.clear()
-        geo = self._geo
+        """Index every legal move from scratch: the constructors' slow path.
+
+        A legal segment covers at least two crosses and is met through each.
+        """
+        for index in (self._legal, self._by_empty, self._by_line, self._ordered):
+            index.clear()
         for cross in self.crosses:
-            self._enter_legal(geo.through(cross))
+            self._enter_legal(cross, None)
 
     def check_invariants(self) -> None:
         """Full consistency audit; raises AssertionError on any mismatch.
@@ -405,16 +489,10 @@ class Board:
         assert self.crosses == set(self.initial) | {m.cross for m in self.moves}, (
             "crosses must be the initial set plus one per move"
         )
-        assert len(self.lines) >= len(self.moves), "one line per move"
-        if self.moves:
-            played = self.lines[-len(self.moves) :]
-            assert played == [m.segment(alpha) for m in self.moves], (
-                "line list out of step with move history"
-            )
+        lines = self.lines
         cover: dict[Point, int] = {}
         offsets: dict[tuple[Direction, int], list[int]] = {}
-        for seg in self.lines:
-            assert seg.length == alpha, f"line {seg} has wrong length"
+        for seg in lines:
             for p in seg.points():
                 assert p in self.crosses, f"line {seg} covers empty point {p}"
                 cover[p] = cover.get(p, 0) + 1
@@ -424,13 +502,13 @@ class Board:
             "line offsets out of sync"
         )
         limit = 1 if self.variant.touching_allowed else 0
-        for i, a in enumerate(self.lines):
-            for b in self.lines[i + 1 :]:
+        for i, a in enumerate(lines):
+            for b in lines[i + 1 :]:
                 rel = segment_relation(a, b)
                 assert rel != OVERLAPPING, f"lines {a} and {b} overlap"
                 if limit == 0:
                     assert rel != TOUCHING, f"lines {a} and {b} touch under the D rule"
-        fresh: dict[Segment, Move] = {}
+        fresh: dict[Move, _Row] = {}
         for cross in self.crosses:
             for d in DIRECTIONS:
                 for shift in range(alpha):
@@ -439,8 +517,24 @@ class Board:
                     if len(empty) == 1 and not conflicts(
                         self._line_offsets, self._reach, d, seg.key, seg.offset
                     ):
-                        fresh[seg] = Move(empty[0], d, seg.anchor)
+                        line = (d, seg.key)
+                        row = (seg.points(), d, seg.key, seg.offset, line)
+                        fresh[Move(empty[0], d, seg.anchor)] = row
         assert fresh == self._legal, "incremental legal index diverged from rebuild"
+
+        def grouped(key) -> dict:
+            groups: dict = {}
+            for move in sorted(fresh):
+                groups.setdefault(key(move), []).append(move)
+            return groups
+
+        assert {p: sorted(g) for p, g in self._by_empty.items()} == grouped(
+            lambda m: m.cross
+        ), "legal moves by empty point diverged from rebuild"
+        assert {k: sorted(g) for k, g in self._by_line.items()} == grouped(
+            lambda m: fresh[m][4]
+        ), "legal moves by lattice line diverged from rebuild"
+        assert self._ordered == sorted(fresh), "sorted legal moves diverged from rebuild"
 
 
 def replay(record: GameRecord, board: Board | None = None) -> Board:

@@ -126,8 +126,11 @@ class Verification:
 
 
 def verify_record(record: GameRecord) -> Verification:
-    """Replay ``record`` legally, one line and one cross per move, under the
-    5D potential monitors; raise :class:`MonitorFailure` at the first failure.
+    """Replay ``record`` legally under the 5D potential monitors; raise
+    :class:`MonitorFailure` at the first failure.
+
+    The final board must hold one cross per move beyond the initial ones, and
+    its cover counts must sum to ``alpha`` points per move.
 
     Each 5D position gets one :func:`potential_report`: its total must be
     144 - N after N moves and at least 4 before each recorded move.  It is
@@ -148,16 +151,17 @@ def verify_record(record: GameRecord) -> Verification:
         if monitored:
             total = _checked_total(board)
     n = len(record.moves)
-    if len(board.lines) != n or len(board.crosses) != len(board.initial) + n:
+    covered = sum(board.cover_count.values())
+    if covered != record.variant.alpha * n or len(board.crosses) != len(board.initial) + n:
         raise MonitorFailure(
-            "fact", f"crosses={len(board.crosses)} lines={len(board.lines)} for N={n}"
+            "fact", f"crosses={len(board.crosses)} covered={covered} for N={n}"
         )
     terminal = None
     if monitored and not board.has_legal_moves():
         ok, terminal = check_terminal_lemma(board)
         if not ok:
             raise MonitorFailure("terminal lemma", f"last three cross potentials {terminal}")
-    return Verification(len(board.crosses), len(board.lines), total, terminal)
+    return Verification(len(board.crosses), n, total, terminal)
 
 
 def _checked_total(board: Board) -> int:

@@ -247,7 +247,7 @@ def _scene(obj, annotate: bool):
         if annotate:
             for i, mv in enumerate(obj.moves, start=1):
                 points[mv.cross] = i
-        segments = list(obj.lines)
+        segments = obj.lines
     elif isinstance(obj, Layout):
         points = {p: "o" for p in obj.points()}
         segments = obj.segments()

@@ -8,10 +8,10 @@ are honored but a run that stops on time rather than nodes is not guaranteed
 to be reproducible.
 
 Every record leaving this module passes a bound guard: it must replay
-legally with N lines and N+36 crosses, and a 5D record longer than
-``FIVE_D_LINE_BOUND`` (121, the line-counting bound; the potential bounds
-in ``potential.PUBLISHED_BOUNDS`` are all weaker) fails hard since that can
-only mean an engine bug.
+legally to N+36 crosses, with cover counts summing to alpha*N for its N
+lines, and a 5D record longer than ``FIVE_D_LINE_BOUND`` (121, the
+line-counting bound; the potential bounds in ``potential.PUBLISHED_BOUNDS``
+are all weaker) fails hard since that can only mean an engine bug.
 """
 
 from __future__ import annotations
@@ -69,16 +69,6 @@ def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(bits)
 
 
-_initial_cache: dict[Variant, Board] = {}
-
-
-def _fresh_board(variant: Variant) -> Board:
-    proto = _initial_cache.get(variant)
-    if proto is None:
-        proto = _initial_cache[variant] = Board(variant)
-    return proto.copy()
-
-
 def check_record_bounds(record: GameRecord, board: Board | None = None) -> Board:
     """The guard every solver output passes; returns the replayed board.
 
@@ -94,7 +84,8 @@ def check_record_bounds(record: GameRecord, board: Board | None = None) -> Board
             )
     if board is None:
         board = replay(record)
-    if len(board.lines) != n or len(board.crosses) != len(board.initial) + n:
+    covered = sum(board.cover_count.values())
+    if covered != record.variant.alpha * n or len(board.crosses) != len(board.initial) + n:
         raise AssertionError("engine bug: line/cross counts disagree with the move count")
     return board
 
@@ -119,7 +110,7 @@ def _playout(board: Board, rng: np.random.Generator) -> Board:
 
 def random_playout(variant: Variant, seed: int) -> GameRecord:
     """One uniformly random game, reproducible from the seed."""
-    board = _playout(_fresh_board(variant), rng_stream(seed))
+    board = _playout(Board(variant), rng_stream(seed))
     record = record_from_board(board, strategy="random", seed=str(seed))
     check_record_bounds(record)
     return record
@@ -130,7 +121,7 @@ def _sweep_chunk(
 ) -> tuple[int, int, list[Move], int]:
     best_score, best_stream, best_moves, total = -1, -1, [], 0
     for stream in range(lo, hi):
-        board = _playout(_fresh_board(variant), rng_stream(seed, stream))
+        board = _playout(Board(variant), rng_stream(seed, stream))
         check_record_bounds(GameRecord(variant, board.moves), board)
         total += board.score
         if board.score > best_score:
@@ -200,7 +191,7 @@ def beam_search(
         raise ValueError("beam width must be >= 1")
     t0 = time.perf_counter()
     rng = rng_stream(seed)
-    beam = [_fresh_board(variant)]
+    beam = [Board(variant)]
     best_board = beam[0]
     best_score = 0
     nodes = 0
@@ -281,12 +272,18 @@ class _Nmcs:
             raise _Stop("time-budget")
         self.nodes += 1
 
+    def _keep_if_best(self, board: Board) -> bool:
+        """Bank the board's game if it beats the best so far; return whether it did."""
+        if board.score <= self.best_score:
+            return False
+        self.best_score = board.score
+        self.best_moves = list(board.moves)
+        check_record_bounds(GameRecord(self.variant, self.best_moves), board)
+        return True
+
     def _record_if_best(self, board: Board) -> None:
-        if board.score > self.best_score:
-            self.best_score = board.score
-            self.best_moves = list(board.moves)
-            check_record_bounds(GameRecord(self.variant, self.best_moves), board)
-            if self.stop_score is not None and self.best_score >= self.stop_score:
+        if self._keep_if_best(board) and self.stop_score is not None:
+            if self.best_score >= self.stop_score:
                 raise _Stop("stop-score")
 
     def playout_suffix(self, board: Board) -> tuple[int, list[Move]]:
@@ -294,12 +291,19 @@ class _Nmcs:
         copy = board.copy()
         depth = len(copy.moves)
         rng = self.rng
-        while True:
-            moves = copy.legal_moves()
-            if not moves:
-                break
-            self._tick()
-            copy.apply(moves[int(rng.integers(0, len(moves)))])
+        try:
+            while True:
+                moves = copy.legal_moves()
+                if not moves:
+                    break
+                self._tick()
+                copy.apply(moves[int(rng.integers(0, len(moves)))])
+        except _Stop:
+            if self.best_score < 0:
+                # no game has finished, so this unfinished playout is the
+                # deepest position the search reached
+                self._keep_if_best(copy)
+            raise
         self._record_if_best(copy)
         return copy.score, copy.moves[depth:]
 
@@ -353,7 +357,7 @@ def nmcs(
     t0 = time.perf_counter()
     state = _Nmcs(variant, seed, node_budget, time_budget, stop_score)
     reason = "complete"
-    board = _fresh_board(variant)
+    board = Board(variant)
     try:
         if level == 0:
             state.playout_suffix(board)
@@ -361,6 +365,9 @@ def nmcs(
             state.nested(board, level)
     except _Stop as stop:
         reason = stop.reason
+    if state.best_score < 0:
+        # stopped before any playout began: report the position reached
+        state._keep_if_best(board)
     record = GameRecord(
         variant,
         state.best_moves,
@@ -542,9 +549,7 @@ def exhaustive_solve(
             best_seen = board.score - root_depth
             best_moves = board.moves[root_depth:]
         value = 0
-        # Child order cannot change the value, so take the move index as-is
-        # and skip the canonical sort.
-        for move in list(board._legal.values()):
+        for move in board.legal_moves():
             # tested before counting, so that once the budget is spent each
             # ancestor stops without counting a move it will not apply
             if nodes >= node_budget:

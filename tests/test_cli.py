@@ -249,6 +249,22 @@ def test_malformed_record_exits_1(capsys, tmp_path):
     assert "unsupported record version" in err
 
 
+@pytest.mark.parametrize(
+    "command, data, line",
+    [
+        ("verify", b"morpion-record v1 variant=5D\n\xff\n", 2),
+        ("replay", b"morpion-record v1 variant=5D\n# seed=\xc3\n", 2),
+        ("render", b"morpion-layout v1 alpha=5\ndir=E anchor=0,0\n\xfe", 3),
+    ],
+)
+def test_non_utf8_input_exits_1_naming_the_line(capsys, tmp_path, command, data, line):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    code, out, err = run(capsys, command, str(path))
+    assert code == 1 and out == ""
+    assert f"error: line {line}: byte 0x" in err
+
+
 def test_layout_with_unsupported_alpha_exits_1(capsys, tmp_path):
     path = tmp_path / "huge.lay"
     path.write_text("morpion-layout v1 alpha=1000000000\ndir=E anchor=0,0\n")

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morpion.engine import Board, GameRecord, IllegalMoveError, Move, replay
+from morpion.engine import Board, GameRecord, IllegalMoveError, Move, _geometry, replay
 from morpion.geometry import (
     DIRECTIONS,
     FIVE_D,
@@ -124,6 +124,43 @@ def test_boards_of_every_alpha_interleaved_match_oracle():
                 board.check_invariants()
     for board in boards:
         board.check_invariants()
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_standard_start_is_untouched_by_play_on_another_board(variant):
+    """``Board(variant)`` copies one start board per process; play on one
+    copy must not leak into the next."""
+    rng = random.Random(23)
+    first = Board(variant)
+    for _ in range(6):
+        first.apply(rng.choice(first.legal_moves()))
+    second = Board(variant)
+    fresh = Board(variant, initial_crosses(variant.alpha))
+    assert second.legal_moves() == fresh.legal_moves()
+    assert second.crosses == fresh.crosses == set(second.initial)
+    assert second.moves == [] and second.cover_count == {}
+    second.check_invariants()
+
+
+@pytest.mark.parametrize("alpha", [3, 4, 5, 6])
+def test_window_table_matches_a_brute_force_count(alpha):
+    """Every pattern of crosses on the 2 * alpha - 2 neighbours of a new
+    cross, in every direction: the table's windows are exactly the segments
+    through the cross that ``segment_through`` finds with one empty point."""
+    geo = _geometry(alpha)
+    origin = (0, 0)
+    for d, nbrs, rows in geo.around(origin):
+        for bits in range(2 ** (2 * alpha - 2)):
+            pattern = bytes((bits >> k) & 1 for k in range(2 * alpha - 2))
+            crosses = {origin} | {p for p, bit in zip(nbrs, pattern) if bit}
+            expected = set()
+            for shift in range(alpha):
+                seg = segment_through(d, origin, shift, alpha)
+                empty = [p for p in seg.points() if p not in crosses]
+                if len(empty) == 1:
+                    expected.add((seg.points(), empty[0]))
+            hits = geo.windows[pattern]
+            assert {(rows[i][0], nbrs[k]) for i, k in hits} == expected
 
 
 def test_first_move_example_legal():

@@ -5,7 +5,8 @@ Bad input must fail with the documented error types (``RecordParseError``,
 never with another exception.  Texts are built from record and layout
 fragments (a legal game's moves, well-formed and mangled lines, oversized
 integers) as well as from arbitrary characters, so that examples get past
-the header into the move, replay and render paths.
+the header into the move, replay and render paths.  The CLI also reads
+raw bytes, some of them not UTF-8.
 """
 
 import contextlib
@@ -71,7 +72,16 @@ def files(draw):
     return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\r\n", "\n\n"]))
 
 
+@st.composite
+def spliced(draw):
+    """A record or layout file with a few arbitrary bytes spliced in."""
+    data = draw(files()).encode()
+    at = draw(st.integers(min_value=0, max_value=len(data)))
+    return data[:at] + draw(st.binary(min_size=1, max_size=4)) + data[at:]
+
+
 texts = st.one_of(files(), files(), files(), st.text(max_size=200))
+contents = st.one_of(texts.map(str.encode), spliced(), st.binary(max_size=200))
 FUZZ = settings(max_examples=300, deadline=None)
 
 
@@ -94,13 +104,18 @@ def test_parse_layout_raises_only_documented_errors(text):
 
 
 @settings(FUZZ, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(texts, st.sampled_from(["verify", "replay", "render"]))
-def test_main_reading_fuzzed_files_exits_0_1_or_2(tmp_path, text, command):
+@given(contents, st.sampled_from(["verify", "replay", "render"]))
+def test_main_reading_fuzzed_files_exits_0_1_or_2(tmp_path, data, command):
     path = tmp_path / "input.txt"
-    path.write_text(text, encoding="utf-8", newline="")
+    path.write_bytes(data)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([command, str(path)])
     assert code in (0, 1, 2)
     if code == 0:
         assert err.getvalue() == ""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        # a malformed input file, not a usage error
+        assert code == 1

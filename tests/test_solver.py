@@ -20,6 +20,7 @@ from morpion.geometry import (
     Variant,
 )
 from morpion.linecover import ALL_RULES, infeasibility_scan
+from morpion.potential import MonitorFailure, verify_record
 from morpion.solver import (
     _SYMMETRIES,
     FIVE_D_LINE_BOUND,
@@ -135,6 +136,41 @@ def test_nmcs_node_budget_flags_truncation():
     # so the run stops exactly at the budget
     assert r.nodes_expanded == 2000
     assert_well_formed(r.best_record)
+
+
+@pytest.mark.parametrize("level, budget", [(0, 5), (1, 0), (1, 1), (1, 7), (2, 1)])
+def test_nmcs_budget_spent_before_any_game_ends_reports_the_position_reached(level, budget):
+    r = nmcs(FIVE_D, level, 0, node_budget=budget)
+    assert r.stopped_reason == "node-budget"
+    assert r.nodes_expanded == budget
+    # every counted move was applied on the way down the first playout
+    assert r.best_score == len(r.best_record.moves) == budget
+    assert_well_formed(r.best_record)
+
+
+def test_bound_checks_count_covered_points(monkeypatch):
+    """Lines derive from the moves, so both record checks count the points
+    the cover counts hold instead; a lost entry fails each of them."""
+    record = random_playout(FIVE_D, 3)
+    board = replay(record)
+    del board.cover_count[record.moves[-1].cross]
+    with pytest.raises(AssertionError, match="line/cross counts"):
+        check_record_bounds(record, board)
+
+    # 5T has no potential monitor, which would fail first
+    game = random_playout(FIVE_T, 3)
+    apply = Board.apply
+
+    def losing_apply(b, move):
+        apply(b, move)
+        if b.score == len(game.moves):
+            del b.cover_count[move.cross]
+        return b
+
+    monkeypatch.setattr(Board, "apply", losing_apply)
+    with pytest.raises(MonitorFailure) as err:
+        verify_record(game)
+    assert err.value.check == "fact"
 
 
 def test_beam_node_budget_flags_truncation():
