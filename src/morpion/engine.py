@@ -5,19 +5,23 @@ consecutive lattice points through it; the other ``alpha - 1`` points must
 already bear crosses.  Same-direction lines must be disjoint under the D rule
 and may share at most one point under the T rule.
 
-The board keeps an incremental index of legal moves.  A segment is a legal
+The board keeps its legal moves in two containers.  A segment is a legal
 line exactly when it covers one empty point and conflicts with no placed
 same-direction line (:func:`~morpion.geometry.conflicts`, the package's one
-conflict test, over the board's sorted anchor offsets per lattice line).
-The index holds each legal move four ways:
+conflict test, over the board's sorted anchor offsets per lattice line).  A
+dict maps each legal move to its segment's row (points, direction, line key,
+offset, ``(direction, line key)``), so :meth:`Board.apply` tests legality
+with one lookup; a list holds the same moves in canonical order, and
+:meth:`Board.legal_moves` copies it.
 
-* keyed by the move, with its segment's row (points, direction, line key,
-  offset), so :meth:`Board.apply` tests legality with one lookup;
-* grouped by its one empty point, so one ``pop`` at the new cross removes
-  every move that the cross fills, the played one included;
-* grouped by lattice line ``(direction, key)``, so the moves the drawn line
-  rules out are found among the few legal moves on its own lattice line;
-* in one list in canonical order, kept sorted with :mod:`bisect`.
+A position has about ten legal moves, so :meth:`Board.apply` builds new
+containers instead of editing the old ones.  It copies both, drops the moves
+whose one empty point is the new cross (one run of the list, since moves
+sort by cross first) and the moves the drawn line conflicts with, then
+enters the moves the new cross makes legal.  A pair, once published, is
+never mutated: the undo trail keeps the parent's pair, so :meth:`Board.undo`
+restores it by assignment and re-indexes nothing, and :meth:`Board.copy`
+and ``Board(variant)`` share it.
 
 Applying a move can only validate segments through its cross that had two
 empty points.  For each direction, the crosses among the ``2 * alpha - 2``
@@ -26,9 +30,9 @@ maps each pattern to the windows through the cross that it leaves with
 exactly one empty point, and to where that point is.  The table depends on
 nothing but ``alpha``, so :meth:`Board.undo` has nothing to reverse in it.
 
-The point geometry comes from tables held per line length and shared by
-every board in the process: for a point, per direction, its neighbours and
-the rows of the ``alpha`` segments through it.  Both tables fill lazily, the
+The point geometry comes from one table per line length, shared by every
+board in the process: for a point, per direction, its neighbours and the
+rows of the ``alpha`` segments through it.  Both tables fill lazily, the
 pattern table on the first use of a pattern and the point table on the first
 use of a point.  Points gain entries only when they receive a cross or
 anchor a placed line, through the constructors or a legal
@@ -37,7 +41,8 @@ point table is bounded by the points that boards in the process have
 covered.  ``Board(variant)`` at the standard start copies one prototype
 board per variant and process.
 
-``apply``, ``undo`` and the legal-index rebuild read only from the tables.
+``apply``, ``Board.force`` and the legal-index rebuild read only from the
+tables.
 :meth:`Board.legality_failure` and :meth:`Board.check_invariants` derive
 every segment from :func:`~morpion.geometry.segment_through` and
 ``Segment.points`` instead, as an independent reference; all of them share
@@ -145,21 +150,19 @@ class _Windows(dict):
 
 
 class _Geometry:
-    """Point and segment tables for one line length; lookups fill what they miss.
+    """Point tables for one line length; :meth:`around` fills what it misses."""
 
-    :meth:`around` gives a point's neighbours and segment rows in each
-    direction, and :meth:`row` the row of one segment.
-    """
-
-    __slots__ = ("alpha", "by_point", "rows", "windows")
+    __slots__ = ("alpha", "by_point", "windows")
 
     def __init__(self, alpha: int):
         self.alpha = alpha
         self.by_point: dict[Point, tuple[_Around, ...]] = {}
-        self.rows: dict[tuple[Direction, Point], _Row] = {}
         self.windows = _Windows(alpha)
 
     def around(self, point: Point) -> tuple[_Around, ...]:
+        """Per direction, in ``Direction`` order: the point's neighbours and
+        the rows of the segments through it, row ``alpha - 1`` anchored at
+        the point itself."""
         found = self.by_point.get(point)
         if found is None:
             alpha = self.alpha
@@ -168,25 +171,14 @@ class _Geometry:
             for d in DIRECTIONS:
                 sx, sy = d.step
                 line = [(x + t * sx, y + t * sy) for t in range(1 - alpha, alpha)]
-                rows = tuple(self._row(d, tuple(line[i : i + alpha])) for i in range(alpha))
+                key = line_key(d, x, y)
+                rows = tuple(
+                    (tuple(line[i : i + alpha]), d, key, line_offset(d, *line[i]), (d, key))
+                    for i in range(alpha)
+                )
                 per_direction.append((d, tuple(line[: alpha - 1] + line[alpha:]), rows))
             found = self.by_point[point] = tuple(per_direction)
         return found
-
-    def _row(self, d: Direction, points: tuple[Point, ...]) -> _Row:
-        anchor = points[0]
-        row = self.rows.get((d, anchor))
-        if row is None:
-            key = line_key(d, *anchor)
-            row = self.rows[d, anchor] = (points, d, key, line_offset(d, *anchor), (d, key))
-        return row
-
-    def row(self, d: Direction, anchor: Point) -> _Row:
-        row = self.rows.get((d, anchor))
-        if row is None:
-            self.around(anchor)
-            row = self.rows[d, anchor]
-        return row
 
 
 # one per line length, shared by every board in the process; a row depends
@@ -203,16 +195,6 @@ def _geometry(alpha: int) -> _Geometry:
 
 # the standard start of each variant, built once per process and only copied
 _START: dict[Variant, "Board"] = {}
-
-
-def _ungroup(groups: dict, key, move: Move) -> None:
-    """Take ``move`` out of the tuple ``groups[key]``, dropping the key when empty."""
-    group = groups[key]
-    if len(group) == 1:
-        del groups[key]
-    else:
-        i = group.index(move)
-        groups[key] = group[:i] + group[i + 1 :]
 
 
 class Board:
@@ -234,8 +216,6 @@ class Board:
         "_reach",
         "_line_offsets",
         "_legal",
-        "_by_empty",
-        "_by_line",
         "_ordered",
         "_trail",
     )
@@ -257,14 +237,12 @@ class Board:
         self._reach = conflict_reach(variant.alpha, variant.touching_allowed)
         # (direction, line_key) -> sorted anchor offsets of placed lines
         self._line_offsets: dict[tuple[Direction, int], list[int]] = {}
-        # legal move -> its segment's row
-        self._legal: dict[Move, _Row] = {}
-        # empty point / (direction, line_key) -> the legal moves there
-        self._by_empty: dict[Point, tuple[Move, ...]] = {}
-        self._by_line: dict[tuple[Direction, int], tuple[Move, ...]] = {}
-        # the legal moves in canonical order
-        self._ordered: list[Move] = []
-        self._trail: list[tuple] = []
+        # legal move -> its segment's row, and the legal moves in canonical
+        # order; a pair is replaced, never mutated, once apply returns
+        self._legal: dict[Move, _Row]
+        self._ordered: list[Move]
+        # the (_legal, _ordered) pair before each move, for undo
+        self._trail: list[tuple[dict[Move, _Row], list[Move]]] = []
         self._rebuild_legal()
 
     @classmethod
@@ -281,9 +259,11 @@ class Board:
         resulting board has history but no undo trail.
         """
         board = cls(variant, crosses)
+        around = board._geo.around
+        last = variant.alpha - 1  # a point's row anchored at the point itself
         for move in moves:
             board.crosses.add(move.cross)
-            board._register_line(board._geo.row(move.direction, move.anchor))
+            board._register_line(around(move.anchor)[move.direction][2][last])
             board.moves.append(move)
         board._rebuild_legal()
         return board
@@ -339,47 +319,43 @@ class Board:
     # -- mutation --------------------------------------------------------
 
     def apply(self, move: Move) -> "Board":
-        legal = self._legal
-        row = legal.get(move)
+        row = self._legal.get(move)
         if row is None:
             reason = self.legality_failure(move)
             raise IllegalMoveError(reason or "not currently legal", move)
 
         cross = move.cross
-        by_line = self._by_line
+        legal = dict(self._legal)
         ordered = self._ordered
-        removed: list[tuple[Move, _Row]] = []
-        # every legal move whose one empty point is the new cross, this one
-        # included, then the legal moves the drawn line conflicts with
-        for m in self._by_empty.pop(cross):
-            r = legal.pop(m)
-            _ungroup(by_line, r[4], m)
+        # the legal moves whose one empty point is the new cross, this one
+        # included, are one run of the canonical order
+        lo = hi = bisect.bisect_left(ordered, (cross,))
+        while hi < len(ordered) and ordered[hi][0] == cross:
+            del legal[ordered[hi]]
+            hi += 1
+        ordered = ordered[:lo] + ordered[hi:]
+        # then the legal moves the drawn line conflicts with
+        line, off, reach = row[4], row[3], self._reach
+        ruled_out = [m for m, r in legal.items() if r[4] == line and abs(r[3] - off) <= reach]
+        for m in ruled_out:
+            del legal[m]
             del ordered[bisect.bisect_left(ordered, m)]
-            removed.append((m, r))
-        off = row[3]
-        reach = self._reach
-        for m in by_line.get(row[4], ()):
-            if abs(legal[m][3] - off) <= reach:
-                removed.append((m, self._unindex(m)))
 
+        self._trail.append((self._legal, self._ordered))
+        self._legal, self._ordered = legal, ordered
         self.crosses.add(cross)
         self._register_line(row)
         self.moves.append(move)
-        added = self._enter_legal(cross, move.direction)
-        self._trail.append((move, row, removed, added))
+        self._enter_legal(cross, move.direction)
         return self
 
     def undo(self) -> "Board":
         if not self._trail:
             raise IndexError("undo on a board with no moves")
-        move, row, removed, added = self._trail.pop()
-        for m in added:
-            self._unindex(m)
-        self._unregister_line(row)
-        self.moves.pop()
+        self._legal, self._ordered = self._trail.pop()
+        move = self.moves.pop()
+        self._unregister_line(self._legal[move])
         self.crosses.discard(move.cross)
-        for m, r in removed:
-            self._index(m, r)
         return self
 
     def copy(self) -> "Board":
@@ -398,30 +374,13 @@ class Board:
         self._geo = other._geo
         self._reach = other._reach
         self._line_offsets = {k: list(v) for k, v in other._line_offsets.items()}
-        self._legal = dict(other._legal)
-        self._by_empty = dict(other._by_empty)
-        self._by_line = dict(other._by_line)
-        self._ordered = list(other._ordered)
+        self._legal = other._legal
+        self._ordered = other._ordered
         self._trail = list(other._trail)
 
-    def _index(self, move: Move, row: _Row) -> None:
-        self._legal[move] = row
-        group = self._by_empty.get(move.cross)
-        self._by_empty[move.cross] = (move,) if group is None else group + (move,)
-        group = self._by_line.get(row[4])
-        self._by_line[row[4]] = (move,) if group is None else group + (move,)
-        bisect.insort(self._ordered, move)
-
-    def _unindex(self, move: Move) -> _Row:
-        row = self._legal.pop(move)
-        _ungroup(self._by_empty, move.cross, move)
-        _ungroup(self._by_line, row[4], move)
-        ordered = self._ordered
-        del ordered[bisect.bisect_left(ordered, move)]
-        return row
-
-    def _enter_legal(self, cross: Point, drawn: Direction | None) -> list[Move]:
-        """Index the legal moves through the cross at ``cross``; return them.
+    def _enter_legal(self, cross: Point, drawn: Direction | None) -> None:
+        """Enter the legal moves through the cross at ``cross`` into the
+        board's containers, which must not be published yet.
 
         They are the windows through ``cross`` with one empty point that
         conflict with no placed line and are not indexed yet.  ``drawn`` is
@@ -432,10 +391,10 @@ class Board:
         skip = None if self.variant.touching_allowed else drawn
         has = self.crosses.__contains__
         legal = self._legal
+        ordered = self._ordered
         windows = self._geo.windows
         offsets = self._line_offsets
         reach = self._reach
-        entered = []
         for d, nbrs, rows in self._geo.around(cross):
             if d is skip:
                 continue
@@ -444,9 +403,8 @@ class Board:
                 if not conflicts(offsets, reach, d, row[2], row[3]):
                     m = Move(nbrs[k], d, row[0][0])
                     if m not in legal:
-                        self._index(m, row)
-                        entered.append(m)
-        return entered
+                        legal[m] = row
+                        bisect.insort(ordered, m)
 
     def _register_line(self, row: _Row) -> None:
         pts, _, _, off, line = row
@@ -474,8 +432,8 @@ class Board:
 
         A legal segment covers at least two crosses and is met through each.
         """
-        for index in (self._legal, self._by_empty, self._by_line, self._ordered):
-            index.clear()
+        self._legal = {}
+        self._ordered = []
         for cross in self.crosses:
             self._enter_legal(cross, None)
 
@@ -521,19 +479,6 @@ class Board:
                         row = (seg.points(), d, seg.key, seg.offset, line)
                         fresh[Move(empty[0], d, seg.anchor)] = row
         assert fresh == self._legal, "incremental legal index diverged from rebuild"
-
-        def grouped(key) -> dict:
-            groups: dict = {}
-            for move in sorted(fresh):
-                groups.setdefault(key(move), []).append(move)
-            return groups
-
-        assert {p: sorted(g) for p, g in self._by_empty.items()} == grouped(
-            lambda m: m.cross
-        ), "legal moves by empty point diverged from rebuild"
-        assert {k: sorted(g) for k, g in self._by_line.items()} == grouped(
-            lambda m: fresh[m][4]
-        ), "legal moves by lattice line diverged from rebuild"
         assert self._ordered == sorted(fresh), "sorted legal moves diverged from rebuild"
 
 

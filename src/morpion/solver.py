@@ -5,7 +5,8 @@ named 64-bit generator (PCG64), and parallel playout sweeps give worker i
 the stream ``PCG64(seed).jumped(i)`` so results do not depend on worker
 count.  Budgets are expressed in nodes (moves applied); wall-clock budgets
 are honored but a run that stops on time rather than nodes is not guaranteed
-to be reproducible.
+to be reproducible.  A negative node budget, or a negative or NaN time
+budget, raises ``ValueError``.
 
 Every record leaving this module passes a bound guard: it must replay
 legally to N+36 crosses, with cover counts summing to alpha*N for its N
@@ -54,6 +55,14 @@ class SearchResult:
     @property
     def complete(self) -> bool:
         return self.stopped_reason == "complete"
+
+
+def _check_budgets(node_budget: int, time_budget: float | None = None) -> None:
+    if node_budget < 0:
+        raise ValueError("node budget must be >= 0")
+    # written so that NaN fails too: no clock reading ever passes a NaN deadline
+    if time_budget is not None and not time_budget >= 0:
+        raise ValueError("time budget must be >= 0")
 
 
 class _Stop(Exception):
@@ -189,6 +198,7 @@ def beam_search(
     """
     if width < 1:
         raise ValueError("beam width must be >= 1")
+    _check_budgets(node_budget)
     t0 = time.perf_counter()
     rng = rng_stream(seed)
     beam = [Board(variant)]
@@ -354,6 +364,7 @@ def nmcs(
     """
     if level < 0:
         raise ValueError("level must be >= 0")
+    _check_budgets(node_budget, time_budget)
     t0 = time.perf_counter()
     state = _Nmcs(variant, seed, node_budget, time_budget, stop_score)
     reason = "complete"
@@ -524,6 +535,7 @@ def exhaustive_solve(
     Sized for length-6 variants and synthetic positions; a 5D/5T run will
     hit any realistic budget.
     """
+    _check_budgets(node_budget)
     t0 = time.perf_counter()
     if board is None:
         board = Board(variant)

@@ -183,6 +183,23 @@ def test_solve_rejects_options_the_strategy_ignores(capsys, argv, flag):
     assert flag in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--strategy", "nmcs", "--node-budget", "-5"],
+        ["--strategy", "nmcs", "--time-budget", "nan"],
+        ["--strategy", "nmcs", "--time-budget", "-1"],
+        ["--strategy", "beam", "--node-budget", "-5"],
+        ["--strategy", "exhaustive", "--variant", "6D", "--node-budget", "-5"],
+    ],
+)
+def test_solve_rejects_negative_or_nan_budgets(capsys, argv):
+    code, out, err = run(capsys, "solve", *argv)
+    assert code == 2
+    assert out == ""
+    assert "budget must be >= 0" in err
+
+
 def test_replay_summarizes_board(capsys):
     code, out, _ = run(capsys, "replay", str(GOLDEN / "greedy_5d_seed1.rec"))
     assert code == 0

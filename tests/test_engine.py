@@ -264,13 +264,32 @@ def test_state_key_merges_transposed_orders():
 
 
 def test_copy_is_independent():
+    # a board and its copy share their legal-move containers, so a step on
+    # either that edited them in place would show in the other's audit
+    rng = random.Random(3)
     board = Board(FIVE_D)
-    board.apply(board.legal_moves()[0])
+    for _ in range(3):
+        board.apply(rng.choice(board.legal_moves()))
     clone = board.copy()
-    clone.apply(clone.legal_moves()[0])
-    assert clone.score == 2 and board.score == 1
-    board.check_invariants()
-    clone.check_invariants()
+    steps = [
+        (clone, "apply"), (board, "apply"), (clone, "apply"), (board, "undo"),
+        (clone, "undo"), (board, "apply"), (clone, "undo"), (clone, "undo"),
+        (clone, "apply"), (board, "undo"), (clone, "undo"), (board, "apply"),
+    ]
+    for target, step in steps:
+        if step == "apply":
+            target.apply(rng.choice(target.legal_moves()))
+        else:
+            target.undo()
+        board.check_invariants()
+        clone.check_invariants()
+    # the clone was undone past the point it was copied at
+    assert clone.score == 2 and board.score == 4
+    while clone.moves:
+        clone.undo()
+        board.check_invariants()
+        clone.check_invariants()
+    assert clone.legal_moves() == Board(FIVE_D).legal_moves()
 
 
 def test_replay_roundtrip_and_error_index():

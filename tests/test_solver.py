@@ -184,6 +184,27 @@ def test_beam_node_budget_flags_truncation():
     assert_well_formed(r.best_record)
 
 
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda: nmcs(FIVE_D, 1, 0, node_budget=-5),
+        lambda: nmcs(FIVE_D, 1, 0, time_budget=float("nan")),
+        lambda: nmcs(FIVE_D, 1, 0, time_budget=-1.0),
+        lambda: beam_search(FIVE_D, 4, 0, node_budget=-1),
+        lambda: exhaustive_solve(SIX_D, node_budget=-1),
+    ],
+)
+def test_negative_or_nan_budgets_are_rejected(search):
+    # a NaN deadline never passes, so it would run unbounded
+    with pytest.raises(ValueError, match="budget must be >= 0"):
+        search()
+
+
+def test_zero_budgets_stop_at_once():
+    assert nmcs(FIVE_D, 1, 0, time_budget=0.0).stopped_reason == "time-budget"
+    assert exhaustive_solve(SIX_D, node_budget=0).nodes_expanded == 0
+
+
 def test_nmcs_level_zero_is_a_playout():
     r = nmcs(FIVE_D, 0, 6)
     assert r.best_score == len(random_playout(FIVE_D, 6).moves)
