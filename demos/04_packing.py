@@ -9,6 +9,9 @@ n x n grid packs very well, and a parameter search over rectangle and
 cut-corner octagon shapes pushes the frontier further.
 """
 
+import tempfile
+from pathlib import Path
+
 from morpion import (
     RenderSpec,
     coverage,
@@ -35,6 +38,6 @@ print(f"search best: {result.n} lines on {result.coverage} points")
 
 # an SVG view of the winning layout
 svg = render(result.layout, RenderSpec(format="svg"))
-with open("/tmp/packing.svg", "wb") as fh:
-    fh.write(svg)
-print("wrote /tmp/packing.svg,", svg.count(b"<line "), "line elements")
+with tempfile.TemporaryDirectory() as tmp:
+    (Path(tmp) / "packing.svg").write_bytes(svg)
+    print("wrote packing.svg,", svg.count(b"<line "), "line elements")

@@ -10,6 +10,8 @@ from the shell via the `morpion` command.
 
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 from morpion import FIVE_D, emit_record, nmcs, parse_record, render, replay
 from morpion.recordio import RenderSpec
@@ -24,24 +26,24 @@ assert emit_record(parse_record(text)) == text
 board = replay(result.best_record)
 print(f"replayed: {board.score} moves, {len(board.crosses)} crosses")
 
-with open("/tmp/demo_game.rec", "w") as fh:
-    fh.write(text)
-
 # an annotated picture: move numbers on the crosses they placed
 picture = render(board, RenderSpec(annotate_moves=True))
 print(picture.decode()[:400], "...")
 
 # the CLI wraps the same library calls; every subcommand is
 # deterministic for fixed flags and seed
-for argv in (
-    ["bounds"],
-    ["verify", "/tmp/demo_game.rec"],
-    ["scan", "--rules=A,B", "--max=125"],
-):
-    proc = subprocess.run(
-        [sys.executable, "-m", "morpion.cli", *argv],
-        capture_output=True,
-        text=True,
-    )
-    last = proc.stdout.strip().splitlines()[-1]
-    print(f"$ morpion {' '.join(argv)}\n  ... {last} (exit {proc.returncode})")
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "demo_game.rec"
+    path.write_text(text)
+    for argv in (
+        ["bounds"],
+        ["verify", str(path)],
+        ["scan", "--rules=A,B", "--max=125"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "morpion.cli", *argv],
+            capture_output=True,
+            text=True,
+        )
+        last = proc.stdout.strip().splitlines()[-1]
+        print(f"$ morpion {' '.join(argv)}\n  ... {last} (exit {proc.returncode})")

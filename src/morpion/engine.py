@@ -309,12 +309,11 @@ class Board:
             return f"(d): line {kind} an existing same-direction line"
         return None
 
-    def state_key(self) -> tuple[frozenset, frozenset]:
-        """Hashable identity of the position (move order forgotten)."""
-        return (
-            frozenset(m.cross for m in self.moves),
-            frozenset((m.direction, m.anchor) for m in self.moves),
-        )
+    def state_key(self) -> frozenset[tuple[Direction, Point]]:
+        """The position's lines as ``(direction, anchor)``, move order
+        forgotten: each move's cross lies on its own line, so the crosses are
+        the initial ones plus the points the lines cover."""
+        return frozenset((m.direction, m.anchor) for m in self.moves)
 
     # -- mutation --------------------------------------------------------
 
@@ -448,6 +447,8 @@ class Board:
             "crosses must be the initial set plus one per move"
         )
         lines = self.lines
+        for m, seg in zip(self.moves, lines):
+            assert m.cross in seg.points(), f"move {m} places its cross off its line"
         cover: dict[Point, int] = {}
         offsets: dict[tuple[Direction, int], list[int]] = {}
         for seg in lines:

@@ -57,7 +57,7 @@ class BoundDerivation:
 
     @property
     def bound(self) -> int:
-        return self.initial_potential - self.terminal_floor + self.lookback
+        return potential_bound(self.initial_potential, self.terminal_floor, self.lookback)
 
 
 def potential_report(board: Board) -> PotentialReport:

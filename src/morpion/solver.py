@@ -25,7 +25,7 @@ from operator import itemgetter, xor
 import numpy as np
 
 from .engine import Board, GameRecord, Move, replay
-from .geometry import DIRECTIONS, Direction, Point, Variant, initial_crosses
+from .geometry import Point, Variant, initial_crosses
 
 FIVE_D_LINE_BOUND = 121
 DEFAULT_NODE_BUDGET = 10**8
@@ -193,8 +193,8 @@ def beam_search(
     same for every board at a given depth, since each move adds a
     4-potential cross and spends 5.)
 
-    Duplicate positions within a level (same crosses and lines via a
-    different move order) are merged before selection.
+    Duplicate positions within a level (the same lines via a different
+    move order) are merged before selection.
     """
     if width < 1:
         raise ValueError("beam width must be >= 1")
@@ -208,7 +208,7 @@ def beam_search(
     reason = "complete"
     while True:
         candidates: list[tuple[float, int, Move]] = []
-        seen: set[tuple[frozenset, frozenset]] = set()
+        seen: set[frozenset] = set()
         alive = False
         for bi, board in enumerate(beam):
             moves = board.legal_moves()
@@ -217,9 +217,9 @@ def beam_search(
                     best_score, best_board = board.score, board
                 continue
             alive = True
-            crosses_fs, lines_fs = board.state_key()
+            lines = board.state_key()
             for m in moves:
-                key = (crosses_fs | {m.cross}, lines_fs | {(m.direction, m.anchor)})
+                key = lines | {(m.direction, m.anchor)}
                 if key in seen:
                     continue
                 seen.add(key)
@@ -400,34 +400,35 @@ _SYMMETRIES = (
 
 _ZOBRIST_SEED = 0x6D6F7270696F6E  # fixed, so node counts repeat run to run
 
-# (cross images, line images, hash delta), one entry per frame in each
-_MoveImages = tuple[tuple, tuple, tuple[int, ...]]
+# (line images, hash delta), one entry per frame in each
+_MoveImages = tuple[tuple[tuple[Point, Point], ...], tuple[int, ...]]
 
 
 class _SymmetricKeys:
     """Transposition keys for the states reached from one board.
 
-    A state is its set of crosses and its set of lines; move order is
-    forgotten.  Two states share a key exactly when a symmetry of the
-    initial crosses maps one onto the other: all eight lattice symmetries
-    for the standard cross shape, only the identity for an arbitrary
-    synthetic board (plain transposition merging).  Coordinates are doubled
-    and re-centred on the initial bounding box so the symmetry centre stays
-    integral.
+    A state is its set of lines; move order is forgotten.  Each move's cross
+    lies on its own line, so the crosses are the initial ones plus the points
+    the lines cover: from a fixed start the lines fix the state.  Two states
+    share a key exactly when a symmetry of the initial crosses maps one onto
+    the other: all eight lattice symmetries for the standard cross shape,
+    only the identity for an arbitrary synthetic board (plain transposition
+    merging).  Coordinates are doubled and re-centred on the initial
+    bounding box so the symmetry centre stays integral; a line's image is
+    the sorted pair of its end points' images.
 
     Each symmetry is a frame, and a state carries one 64-bit Zobrist hash
-    per frame: the XOR of a random word for each cross image and each line
-    image in that frame (crosses and lines draw from separate tables).  A
-    move XORs its cached per-frame delta into the parent's hashes, so a
+    per frame: the XOR of a random word for each line image in that frame.
+    A move XORs its cached per-frame delta into the parent's hashes, so a
     child costs one update per frame and undo costs nothing.
 
-    The key is ``(h, crosses, lines)``: ``h`` is the smallest frame hash,
-    and ``crosses`` and ``lines`` are the sorted images of the state in the
-    first frame that reaches it.  Equal keys mean the two states have equal
-    images under some pair of symmetries, so a merge is never wrong.  States
-    related by a symmetry have the same frame hashes in another order, so
-    they share ``h``; a 64-bit collision between two different images can
-    only make them pick different frames and miss a merge.
+    The key is ``(h, lines)``: ``h`` is the smallest frame hash, and
+    ``lines`` are the sorted images of the state's lines in the first frame
+    that reaches it.  Equal keys mean the two states have equal images under
+    some pair of symmetries, so a merge is never wrong.  States related by a
+    symmetry have the same frame hashes in another order, so they share
+    ``h``; a 64-bit collision between two different images can only make
+    them pick different frames and miss a merge.
     """
 
     def __init__(self, board: Board):
@@ -440,76 +441,49 @@ class _SymmetricKeys:
             for m in _SYMMETRIES
             if {(m[0] * u + m[1] * v, m[2] * u + m[3] * v) for u, v in doubled} == doubled
         ]
-        by_step: dict[tuple[int, int], Direction] = {}
-        for d in DIRECTIONS:
-            sx, sy = d.step
-            by_step[sx, sy] = d
-            by_step[-sx, -sy] = d
-        self.dir_maps = []
-        for a, b, c, d in self.group:
-            img = {}
-            for direction in DIRECTIONS:
-                sx, sy = direction.step
-                ix, iy = a * sx + b * sy, c * sx + d * sy
-                if ix < 0 or (ix == 0 and iy < 0):
-                    ix, iy = -ix, -iy
-                img[direction] = by_step[ix, iy]
-            self.dir_maps.append(img)
         self.span = board.variant.alpha - 1
         self.rng = random.Random(_ZOBRIST_SEED)
-        self.cross_words: dict = {}
-        self.line_words: dict = {}
+        self.words: dict[tuple[Point, Point], int] = {}
         self.moves: dict[Move, _MoveImages] = {}
 
     def _images(self, p: Point) -> tuple[Point, ...]:
         u, v = 2 * p[0] - self.cx, 2 * p[1] - self.cy
         return tuple((a * u + b * v, c * u + d * v) for a, b, c, d in self.group)
 
-    def _word(self, table: dict, item) -> int:
-        word = table.get(item)
+    def _word(self, line: tuple[Point, Point]) -> int:
+        word = self.words.get(line)
         if word is None:
-            word = table[item] = self.rng.getrandbits(64)
+            word = self.words[line] = self.rng.getrandbits(64)
         return word
 
     def move(self, move: Move) -> _MoveImages:
-        """Per-frame images of the move's cross and line, and its hash delta."""
+        """Per-frame images of the move's line, and its hash delta."""
         out = self.moves.get(move)
         if out is None:
-            direction, (x, y) = move.direction, move.anchor
-            sx, sy = direction.step
+            (x, y), (sx, sy) = move.anchor, move.direction.step
             head = self._images(move.anchor)
             tail = self._images((x + self.span * sx, y + self.span * sy))
-            crosses = self._images(move.cross)
-            lines = tuple(
-                (dmap[direction], min(a, b))
-                for dmap, a, b in zip(self.dir_maps, head, tail)
-            )
-            delta = tuple(
-                self._word(self.cross_words, c) ^ self._word(self.line_words, ln)
-                for c, ln in zip(crosses, lines)
-            )
-            out = self.moves[move] = (crosses, lines, delta)
+            lines = tuple((a, b) if a < b else (b, a) for a, b in zip(head, tail))
+            out = self.moves[move] = (lines, tuple(map(self._word, lines)))
         return out
 
-    def start(self, moves: list[Move]) -> tuple[tuple[int, ...], list, list]:
-        """Frame hashes and image lists of the state ``moves`` reach, from scratch."""
+    def hashes(self, moves: list[Move]) -> tuple[int, ...]:
+        """Frame hashes of the state ``moves`` reach, from scratch."""
         hashes = (0,) * len(self.group)
-        crosses, lines = [], []
         for m in moves:
-            c, ln, delta = self.move(m)
-            hashes = tuple(map(xor, hashes, delta))
-            crosses.append(c)
-            lines.append(ln)
-        return hashes, crosses, lines
+            hashes = tuple(map(xor, hashes, self.move(m)[1]))
+        return hashes
 
-    @staticmethod
-    def key(hashes: tuple[int, ...], crosses: list, lines: list) -> tuple:
+    def key(self, hashes: tuple[int, ...], moves: list[Move]) -> tuple:
+        """Key of the state with these frame hashes; reads each move's
+        images from the cache :meth:`move` and :meth:`hashes` fill."""
         h = min(hashes)
-        frame = itemgetter(hashes.index(h))
-        return (h, tuple(sorted(map(frame, crosses))), tuple(sorted(map(frame, lines))))
+        frame = hashes.index(h)
+        images = self.moves
+        return (h, tuple(sorted([images[m][0][frame] for m in moves])))
 
     def key_of(self, board: Board) -> tuple:
-        return self.key(*self.start(board.moves))
+        return self.key(self.hashes(board.moves), board.moves)
 
 
 def exhaustive_solve(
@@ -521,24 +495,28 @@ def exhaustive_solve(
     """Exact maximum score by depth-first search with undo.
 
     With ``use_transpositions`` (the default) states are merged through the
-    :class:`_SymmetricKeys` key: same crosses and lines reached by another
-    move order, or related by a symmetry of the initial crosses.  Merged
-    states have equal images under some pair of symmetries, hence the same
-    value, so a merge is never wrong; a 64-bit hash collision can only miss
-    a merge, which would show as a larger node count and never as a
-    different value.  The table stores the exact number of further moves
-    available from each state, and the best line is reconstructed from the
-    filled table afterwards.  Without transpositions this is a plain DFS,
-    kept as the reference to test the merging against.  Exceeding the node
-    budget returns the best game found so far flagged non-exact.
+    :class:`_SymmetricKeys` key: the same lines (which fix the crosses,
+    each move's cross lying on its own line) reached by another move order,
+    or related by a symmetry of the initial crosses.  Merged states have
+    equal images under some pair of symmetries, hence the same value, so a
+    merge is never wrong; a 64-bit hash collision can only miss a merge,
+    which would show as a larger node count and never as a different value.
+    The table stores the exact number of further moves available from each
+    state, and the best line is reconstructed from the filled table
+    afterwards.  Without transpositions this is a plain DFS, kept as the
+    reference to test the merging against.  Exceeding the node budget
+    returns the best game found so far flagged non-exact.
 
     Sized for length-6 variants and synthetic positions; a 5D/5T run will
-    hit any realistic budget.
+    hit any realistic budget.  A ``board`` of another variant than
+    ``variant`` raises ``ValueError``.
     """
     _check_budgets(node_budget)
     t0 = time.perf_counter()
     if board is None:
         board = Board(variant)
+    elif board.variant != variant:
+        raise ValueError(f"board is {board.variant.name}, not {variant.name}")
     else:
         board = board.copy()
     keys = _SymmetricKeys(board)
@@ -548,11 +526,10 @@ def exhaustive_solve(
     best_seen = 0
     best_moves: list[Move] = []
     root_depth = board.score
-    hashes, crosses, lines = keys.start(board.moves)
 
     def dfs(hashes: tuple[int, ...]) -> int:
         nonlocal nodes, budget_hit, best_seen, best_moves
-        key = keys.key(hashes, crosses, lines) if use_transpositions else None
+        key = keys.key(hashes, board.moves) if use_transpositions else None
         if key is not None:
             hit = table.get(key)
             if hit is not None:
@@ -568,21 +545,16 @@ def exhaustive_solve(
                 budget_hit = True
                 break
             nodes += 1
-            c, ln, delta = keys.move(move)
-            crosses.append(c)
-            lines.append(ln)
             board.apply(move)
-            child = 1 + dfs(tuple(map(xor, hashes, delta)))
+            child = 1 + dfs(tuple(map(xor, hashes, keys.move(move)[1])))
             if child > value:
                 value = child
             board.undo()
-            crosses.pop()
-            lines.pop()
         if key is not None and not budget_hit:
             table[key] = value
         return value
 
-    value = dfs(hashes)
+    value = dfs(keys.hashes(board.moves))
     # dfs refers to itself through its closure cell; breaking that cycle
     # frees the table now instead of at the next cyclic collection
     dfs = None  # type: ignore[assignment]

@@ -355,3 +355,11 @@ def test_force_reads_an_iterator_of_moves_once():
     assert board.lines == [move.segment(5)]
     assert board.crosses == set(crosses) | {move.cross}
     board.check_invariants()
+
+
+def test_check_invariants_rejects_a_cross_off_its_line():
+    # every point of the line bears a cross, so only the new clause catches it
+    move = Move((5, 0), Direction.E, (0, 0))
+    board = Board.force(FIVE_D, [move], [(x, 0) for x in range(5)])
+    with pytest.raises(AssertionError, match="off its line"):
+        board.check_invariants()

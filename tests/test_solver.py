@@ -280,12 +280,19 @@ def test_exhaustive_agrees_with_plain_dfs_on_symmetric_starts(variant):
     plain = exhaustive_solve(variant, board=start, use_transpositions=False)
     assert merged.exact and plain.exact
     assert merged.best_score == plain.best_score
-    assert merged.nodes_expanded < plain.nodes_expanded
+    # exact counts pin the merge partition: a key that merged more states,
+    # or fewer, would change the first
+    assert (merged.nodes_expanded, plain.nodes_expanded) == (810, 6330)
     board = start.copy()
     for mv in merged.best_record.moves:
         board.apply(mv)
     assert board.score - start.score == merged.best_score
     assert not board.has_legal_moves()
+
+
+def test_exhaustive_rejects_a_board_of_another_variant():
+    with pytest.raises(ValueError, match="6D, not 5D"):
+        exhaustive_solve(FIVE_D, board=Board(SIX_D))
 
 
 def test_exhaustive_frees_its_table_without_the_cycle_collector():
