@@ -5,23 +5,20 @@ consecutive lattice points through it; the other ``alpha - 1`` points must
 already bear crosses.  Same-direction lines must be disjoint under the D rule
 and may share at most one point under the T rule.
 
-The board keeps its legal moves in two containers.  A segment is a legal
-line exactly when it covers one empty point and conflicts with no placed
-same-direction line (:func:`~morpion.geometry.conflicts`, the package's one
-conflict test, over the board's sorted anchor offsets per lattice line).  A
-dict maps each legal move to its segment's row (points, direction, line key,
-offset, ``(direction, line key)``), so :meth:`Board.apply` tests legality
-with one lookup; a list holds the same moves in canonical order, and
-:meth:`Board.legal_moves` copies it.
+A segment is a legal line exactly when it covers one empty point and
+conflicts with no placed same-direction line (:func:`~morpion.geometry.conflicts`,
+the package's one conflict test, over the board's sorted anchor offsets per
+lattice line).  The board keeps its legal moves in one dict, from each move
+to its segment's row (points, anchor offset, lattice line), so
+:meth:`Board.apply` tests legality with one lookup; :meth:`Board.legal_moves`
+sorts the dict's keys on read.
 
-A position has about ten legal moves, so :meth:`Board.apply` builds new
-containers instead of editing the old ones.  It copies both, drops the moves
-whose one empty point is the new cross (one run of the list, since moves
-sort by cross first) and the moves the drawn line conflicts with, then
-enters the moves the new cross makes legal.  A pair, once published, is
-never mutated: the undo trail keeps the parent's pair, so :meth:`Board.undo`
-restores it by assignment and re-indexes nothing, and :meth:`Board.copy`
-and ``Board(variant)`` share it.
+A position has about ten legal moves, so :meth:`Board.apply` filters the
+parent's dict into a new one, dropping the moves whose one empty point is
+the new cross and the moves the drawn line conflicts with, then enters the
+moves the new cross makes legal.  A dict, once published, is never mutated:
+the undo trail keeps the parent's, so :meth:`Board.undo` restores it by
+assignment, and :meth:`Board.copy` and ``Board(variant)`` share it.
 
 Applying a move can only validate segments through its cross that had two
 empty points.  For each direction, the crosses among the ``2 * alpha - 2``
@@ -113,9 +110,8 @@ class GameRecord:
     metadata: dict[str, str] = field(default_factory=dict)
 
 
-# a segment: (its points from the anchor, direction, line key, anchor offset,
-# (direction, line key))
-_Row = tuple[tuple[Point, ...], Direction, int, int, tuple[Direction, int]]
+# a segment: (its points from the anchor, anchor offset, (direction, line key))
+_Row = tuple[tuple[Point, ...], int, tuple[Direction, int]]
 # a point along one direction: (direction, its neighbours and the rows of the
 # segments through it, both in _Windows order)
 _Around = tuple[Direction, tuple[Point, ...], tuple[_Row, ...]]
@@ -173,7 +169,7 @@ class _Geometry:
                 line = [(x + t * sx, y + t * sy) for t in range(1 - alpha, alpha)]
                 key = line_key(d, x, y)
                 rows = tuple(
-                    (tuple(line[i : i + alpha]), d, key, line_offset(d, *line[i]), (d, key))
+                    (tuple(line[i : i + alpha]), line_offset(d, *line[i]), (d, key))
                     for i in range(alpha)
                 )
                 per_direction.append((d, tuple(line[: alpha - 1] + line[alpha:]), rows))
@@ -216,7 +212,6 @@ class Board:
         "_reach",
         "_line_offsets",
         "_legal",
-        "_ordered",
         "_trail",
     )
 
@@ -237,12 +232,10 @@ class Board:
         self._reach = conflict_reach(variant.alpha, variant.touching_allowed)
         # (direction, line_key) -> sorted anchor offsets of placed lines
         self._line_offsets: dict[tuple[Direction, int], list[int]] = {}
-        # legal move -> its segment's row, and the legal moves in canonical
-        # order; a pair is replaced, never mutated, once apply returns
+        # legal move -> its segment's row; replaced, never mutated, once published
         self._legal: dict[Move, _Row]
-        self._ordered: list[Move]
-        # the (_legal, _ordered) pair before each move, for undo
-        self._trail: list[tuple[dict[Move, _Row], list[Move]]] = []
+        # the legal dict before each move, for undo
+        self._trail: list[dict[Move, _Row]] = []
         self._rebuild_legal()
 
     @classmethod
@@ -282,7 +275,7 @@ class Board:
 
     def legal_moves(self) -> list[Move]:
         """All legal moves, canonically sorted by (cross, direction, anchor)."""
-        return self._ordered[:]
+        return sorted(self._legal)
 
     def has_legal_moves(self) -> bool:
         return bool(self._legal)
@@ -304,7 +297,7 @@ class Board:
         for p in pts:
             if p != move.cross and p not in self.crosses:
                 return f"(c): point {p[0]},{p[1]} empty"
-        if conflicts(self._line_offsets, self._reach, seg.direction, seg.key, seg.offset):
+        if conflicts(self._line_offsets, self._reach, (seg.direction, seg.key), seg.offset):
             kind = "touches" if not self.variant.touching_allowed else "overlaps"
             return f"(d): line {kind} an existing same-direction line"
         return None
@@ -324,24 +317,16 @@ class Board:
             raise IllegalMoveError(reason or "not currently legal", move)
 
         cross = move.cross
-        legal = dict(self._legal)
-        ordered = self._ordered
-        # the legal moves whose one empty point is the new cross, this one
-        # included, are one run of the canonical order
-        lo = hi = bisect.bisect_left(ordered, (cross,))
-        while hi < len(ordered) and ordered[hi][0] == cross:
-            del legal[ordered[hi]]
-            hi += 1
-        ordered = ordered[:lo] + ordered[hi:]
-        # then the legal moves the drawn line conflicts with
-        line, off, reach = row[4], row[3], self._reach
-        ruled_out = [m for m, r in legal.items() if r[4] == line and abs(r[3] - off) <= reach]
-        for m in ruled_out:
-            del legal[m]
-            del ordered[bisect.bisect_left(ordered, m)]
-
-        self._trail.append((self._legal, self._ordered))
-        self._legal, self._ordered = legal, ordered
+        _, off, line = row
+        reach = self._reach
+        # drop the moves whose one empty point is the new cross, this one
+        # included, and those the drawn line conflicts with
+        self._trail.append(self._legal)
+        self._legal = {
+            m: r
+            for m, r in self._legal.items()
+            if m[0] != cross and (r[2] != line or abs(r[1] - off) > reach)
+        }
         self.crosses.add(cross)
         self._register_line(row)
         self.moves.append(move)
@@ -351,7 +336,7 @@ class Board:
     def undo(self) -> "Board":
         if not self._trail:
             raise IndexError("undo on a board with no moves")
-        self._legal, self._ordered = self._trail.pop()
+        self._legal = self._trail.pop()
         move = self.moves.pop()
         self._unregister_line(self._legal[move])
         self.crosses.discard(move.cross)
@@ -374,23 +359,22 @@ class Board:
         self._reach = other._reach
         self._line_offsets = {k: list(v) for k, v in other._line_offsets.items()}
         self._legal = other._legal
-        self._ordered = other._ordered
         self._trail = list(other._trail)
 
     def _enter_legal(self, cross: Point, drawn: Direction | None) -> None:
         """Enter the legal moves through the cross at ``cross`` into the
-        board's containers, which must not be published yet.
+        board's legal dict, which must not be published yet.
 
         They are the windows through ``cross`` with one empty point that
-        conflict with no placed line and are not indexed yet.  ``drawn`` is
-        the direction of a line just drawn through ``cross``: under the D rule
-        every window along it shares the cross with that line, so none is
-        tested.
+        conflict with no placed line; a window through a new cross had it
+        empty, so :meth:`apply` has already dropped its old move.  ``drawn``
+        is the direction of a line just drawn through ``cross``: under the D
+        rule every window along it shares the cross with that line, so none
+        is tested.
         """
         skip = None if self.variant.touching_allowed else drawn
         has = self.crosses.__contains__
         legal = self._legal
-        ordered = self._ordered
         windows = self._geo.windows
         offsets = self._line_offsets
         reach = self._reach
@@ -399,21 +383,18 @@ class Board:
                 continue
             for i, k in windows[bytes(map(has, nbrs))]:
                 row = rows[i]
-                if not conflicts(offsets, reach, d, row[2], row[3]):
-                    m = Move(nbrs[k], d, row[0][0])
-                    if m not in legal:
-                        legal[m] = row
-                        bisect.insort(ordered, m)
+                if not conflicts(offsets, reach, row[2], row[1]):
+                    legal[Move(nbrs[k], d, row[0][0])] = row
 
     def _register_line(self, row: _Row) -> None:
-        pts, _, _, off, line = row
+        pts, off, line = row
         bisect.insort(self._line_offsets.setdefault(line, []), off)
         cover = self.cover_count
         for p in pts:
             cover[p] = cover.get(p, 0) + 1
 
     def _unregister_line(self, row: _Row) -> None:
-        pts, _, _, off, line = row
+        pts, off, line = row
         offs = self._line_offsets[line]
         offs.remove(off)
         if not offs:
@@ -432,7 +413,6 @@ class Board:
         A legal segment covers at least two crosses and is met through each.
         """
         self._legal = {}
-        self._ordered = []
         for cross in self.crosses:
             self._enter_legal(cross, None)
 
@@ -473,24 +453,21 @@ class Board:
                 for shift in range(alpha):
                     seg = segment_through(d, cross, shift, alpha)
                     empty = [p for p in seg.points() if p not in self.crosses]
+                    line = (d, seg.key)
                     if len(empty) == 1 and not conflicts(
-                        self._line_offsets, self._reach, d, seg.key, seg.offset
+                        self._line_offsets, self._reach, line, seg.offset
                     ):
-                        line = (d, seg.key)
-                        row = (seg.points(), d, seg.key, seg.offset, line)
-                        fresh[Move(empty[0], d, seg.anchor)] = row
+                        fresh[Move(empty[0], d, seg.anchor)] = (seg.points(), seg.offset, line)
         assert fresh == self._legal, "incremental legal index diverged from rebuild"
-        assert self._ordered == sorted(fresh), "sorted legal moves diverged from rebuild"
 
 
-def replay(record: GameRecord, board: Board | None = None) -> Board:
+def replay(record: GameRecord) -> Board:
     """Apply the record's moves from the initial board for its variant.
 
     Raises :class:`IllegalMoveError` carrying the 1-based index of the first
     illegal move; no partial board escapes on failure.
     """
-    if board is None:
-        board = Board(record.variant)
+    board = Board(record.variant)
     for i, move in enumerate(record.moves, start=1):
         try:
             board.apply(move)

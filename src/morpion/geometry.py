@@ -156,13 +156,13 @@ def conflict_reach(alpha: int, touching: bool) -> int:
     return alpha - 2 if touching else alpha - 1
 
 
-def conflicts(offsets: dict, reach: int, direction: Direction, key: int, offset: int) -> bool:
-    """Whether a line at ``offset`` on lattice line ``(direction, key)`` conflicts.
+def conflicts(offsets: dict, reach: int, line: tuple[Direction, int], offset: int) -> bool:
+    """Whether a line at ``offset`` on lattice line ``line`` conflicts.
 
-    ``offsets`` maps ``(direction, key)`` to the sorted anchor offsets of the
-    lines placed there; ``reach`` is :func:`conflict_reach`.
+    ``line`` is ``(direction, line key)``; ``offsets`` maps it to the sorted
+    anchor offsets of the lines placed there; ``reach`` is :func:`conflict_reach`.
     """
-    offs = offsets.get((direction, key))
+    offs = offsets.get(line)
     if not offs:
         return False
     i = bisect_left(offs, offset)

@@ -56,6 +56,9 @@ class ExactSearchBudgetError(RuntimeError):
     """min_cover_exact refused or abandoned a search over the node budget."""
 
 
+# same-direction length-5 lines conflict when their anchors are this close
+_REACH = conflict_reach(5, False)
+
 RULE_A = "A"
 RULE_B = "B"
 RULE_REMARK = "remark"
@@ -222,7 +225,6 @@ _exact_cache: dict[tuple, int] = {}
 def min_cover_exact(
     n_per_direction: Mapping[Direction, int],
     window: int,
-    alpha: int = 5,
     node_budget: int = 10**8,
 ) -> int:
     """Exhaustive minimum of coverage over all valid windowed placements.
@@ -251,7 +253,7 @@ def min_cover_exact(
                 f"too large for exact search: ~{estimate:.2e} placements > budget {node_budget}"
             )
 
-    cache_key = (tuple(counts[d] for d in DIRECTIONS), window, alpha)
+    cache_key = (tuple(counts[d] for d in DIRECTIONS), window)
     if cache_key in _exact_cache:
         return _exact_cache[cache_key]
 
@@ -259,8 +261,7 @@ def min_cover_exact(
     active = [d for d in DIRECTIONS if counts[d]]
     covered: set[Point] = set()
     placed_offsets: dict[tuple[Direction, int], list[int]] = {}
-    reach = conflict_reach(alpha, False)
-    best = total * alpha + 1
+    best = total * 5 + 1
     nodes = 0
 
     def place(di: int, remaining: int, start: int, min_x: int, min_y: int) -> None:
@@ -276,20 +277,20 @@ def min_cover_exact(
         d = active[di]
         for idx in range(start, len(anchors)):
             ax, ay = anchors[idx]
-            key = line_key(d, ax, ay)
+            line = (d, line_key(d, ax, ay))
             off = line_offset(d, ax, ay)
-            if conflicts(placed_offsets, reach, d, key, off):
+            if conflicts(placed_offsets, _REACH, line, off):
                 continue
             nodes += 1
             if nodes > node_budget:
                 raise ExactSearchBudgetError(
                     f"too large for exact search: exceeded budget {node_budget}"
                 )
-            seg = Segment(d, (ax, ay), alpha)
+            seg = Segment(d, (ax, ay), 5)
             fresh = [p for p in seg.points() if p not in covered]
             covered.update(fresh)
             if len(covered) < best:
-                offs = placed_offsets.setdefault((d, key), [])
+                offs = placed_offsets.setdefault(line, [])
                 bisect.insort(offs, off)
                 place(di, remaining - 1, idx + 1, min(min_x, ax), min(min_y, ay))
                 offs.remove(off)
@@ -297,7 +298,7 @@ def min_cover_exact(
 
     place(0, counts[active[0]], 0, window, window)
 
-    if best > total * alpha:
+    if best > total * 5:
         raise ValueError(f"no valid placement of {counts} fits in window {window}")
 
     floor = claim_a_lower(total)
@@ -371,11 +372,11 @@ def lemma_counting_replay(layout: Layout, d1: Direction, d2: Direction) -> int:
 # -- packing constructors: upper bounds on c(N) ---------------------------
 
 
-def pack_runs(points: Iterable[Point], alpha: int = 5) -> Layout:
+def pack_runs(points: Iterable[Point]) -> Layout:
     """Greedy line packing of a point set.
 
     In each direction, every maximal collinear run of length l contributes
-    floor(l/alpha) disjoint lines packed from the run's start.
+    floor(l/5) disjoint lines packed from the run's start.
     """
     pts = set(points)
     segments: list[Segment] = []
@@ -396,9 +397,9 @@ def pack_runs(points: Iterable[Point], alpha: int = 5) -> Layout:
                     run_start, run_len = cur, 1
             runs.append((run_start, run_len))
             for start, length in runs:
-                for j in range(length // alpha):
-                    segments.append(Segment(d, point_at(d, key, start + j * alpha), alpha))
-    return Layout.from_segments(segments, alpha)
+                for j in range(length // 5):
+                    segments.append(Segment(d, point_at(d, key, start + j * 5), 5))
+    return Layout.from_segments(segments)
 
 
 def grid_points(n: int) -> set[Point]:
@@ -442,7 +443,7 @@ class PackResult:
     coverage: int
 
 
-def _improve(layout: Layout, alpha: int = 5) -> Layout:
+def _improve(layout: Layout) -> Layout:
     """Greedy post-pass: shift lines to shed coverage, then add cheap lines.
 
     A shift slides one line along its lattice line while keeping the layout
@@ -456,7 +457,6 @@ def _improve(layout: Layout, alpha: int = 5) -> Layout:
     # step with segs so that each pass is linear in the layout
     count: dict[Point, int] = {}
     offsets: dict[tuple[Direction, int], list[int]] = {}
-    reach = conflict_reach(alpha, False)
 
     def place(seg: Segment, sign: int) -> None:
         for p in seg.points():
@@ -491,9 +491,9 @@ def _improve(layout: Layout, alpha: int = 5) -> Layout:
             mates.remove(offset)
             for delta in (-2, -1, 1, 2):
                 off = offset + delta
-                if conflicts(offsets, reach, d, key, off):
+                if conflicts(offsets, _REACH, (d, key), off):
                     continue
-                cand = Segment(d, point_at(d, key, off), alpha)
+                cand = Segment(d, point_at(d, key, off), 5)
                 cand_cov = rest + sum(
                     1 for p in cand.points() if count.get(p, 0) - (p in pts) == 0
                 )
@@ -513,8 +513,8 @@ def _improve(layout: Layout, alpha: int = 5) -> Layout:
         best_fresh = None
         for d, key in sorted(offsets):
             offs = offsets[d, key]
-            for off in (offs[0] - alpha, offs[-1] + alpha):
-                cand = Segment(d, point_at(d, key, off), alpha)
+            for off in (offs[0] - 5, offs[-1] + 5):
+                cand = Segment(d, point_at(d, key, off), 5)
                 fresh = sum(1 for p in cand.points() if p not in count)
                 if best_fresh is None or fresh < best_fresh or (
                     fresh == best_fresh and cand < best_add  # type: ignore[operator]
@@ -525,7 +525,7 @@ def _improve(layout: Layout, alpha: int = 5) -> Layout:
         segs.append(best_add)
         place(best_add, 1)
 
-    return Layout.from_segments(segs, alpha)
+    return Layout.from_segments(segs)
 
 
 def packing_search(
@@ -576,25 +576,24 @@ def packing_search(
     return best
 
 
-def random_layout(rng, max_lines: int = 12, window: int = 20, alpha: int = 5) -> Layout:
+def random_layout(rng) -> Layout:
     """A small random valid layout for property tests and demos.
 
-    ``rng`` is a numpy Generator.  Anchors are drawn uniformly in the window;
-    draws conflicting with an already-kept same-direction line are dropped,
-    so the result may hold fewer than ``max_lines`` lines.
+    ``rng`` is a numpy Generator.  Up to 12 anchors are drawn uniformly in
+    the 20 x 20 window; draws conflicting with an already-kept same-direction
+    line are dropped, so the result may hold fewer lines.
     """
     kept: list[Segment] = []
     offsets: dict[tuple[Direction, int], list[int]] = {}
-    reach = conflict_reach(alpha, False)
-    n = int(rng.integers(0, max_lines + 1))
+    n = int(rng.integers(0, 13))
     for _ in range(n):
         d = DIRECTIONS[int(rng.integers(0, 4))]
-        ax = int(rng.integers(0, window))
-        ay = int(rng.integers(0, window))
-        key = line_key(d, ax, ay)
+        ax = int(rng.integers(0, 20))
+        ay = int(rng.integers(0, 20))
+        line = (d, line_key(d, ax, ay))
         off = line_offset(d, ax, ay)
-        if conflicts(offsets, reach, d, key, off):
+        if conflicts(offsets, _REACH, line, off):
             continue
-        bisect.insort(offsets.setdefault((d, key), []), off)
-        kept.append(Segment(d, (ax, ay), alpha))
-    return Layout.from_segments(kept, alpha)
+        bisect.insort(offsets.setdefault(line, []), off)
+        kept.append(Segment(d, (ax, ay), 5))
+    return Layout.from_segments(kept)

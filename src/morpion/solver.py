@@ -5,8 +5,8 @@ named 64-bit generator (PCG64), and parallel playout sweeps give worker i
 the stream ``PCG64(seed).jumped(i)`` so results do not depend on worker
 count.  Budgets are expressed in nodes (moves applied); wall-clock budgets
 are honored but a run that stops on time rather than nodes is not guaranteed
-to be reproducible.  A negative node budget, or a negative or NaN time
-budget, raises ``ValueError``.
+to be reproducible.  A negative node budget, a negative or NaN time budget,
+or line length 3 (3D/3T games can go on without end) raises ``ValueError``.
 
 Every record leaving this module passes a bound guard: it must replay
 legally to N+36 crosses, with cover counts summing to alpha*N for its N
@@ -57,7 +57,9 @@ class SearchResult:
         return self.stopped_reason == "complete"
 
 
-def _check_budgets(node_budget: int, time_budget: float | None = None) -> None:
+def _check_search(variant: Variant, node_budget: int = 0, time_budget: float | None = None) -> None:
+    if variant.alpha == 3:
+        raise ValueError(f"{variant.name} games can go on without end, so no search finishes")
     if node_budget < 0:
         raise ValueError("node budget must be >= 0")
     # written so that NaN fails too: no clock reading ever passes a NaN deadline
@@ -119,6 +121,7 @@ def _playout(board: Board, rng: np.random.Generator) -> Board:
 
 def random_playout(variant: Variant, seed: int) -> GameRecord:
     """One uniformly random game, reproducible from the seed."""
+    _check_search(variant)
     board = _playout(Board(variant), rng_stream(seed))
     record = record_from_board(board, strategy="random", seed=str(seed))
     check_record_bounds(record)
@@ -147,6 +150,7 @@ def playout_sweep(
     (variant, seed, playouts) no matter how many workers share the sweep.
     Ties go to the lowest stream index.
     """
+    _check_search(variant)
     if playouts < 1:
         raise ValueError("playouts must be >= 1")
     t0 = time.perf_counter()
@@ -198,7 +202,7 @@ def beam_search(
     """
     if width < 1:
         raise ValueError("beam width must be >= 1")
-    _check_budgets(node_budget)
+    _check_search(variant, node_budget)
     t0 = time.perf_counter()
     rng = rng_stream(seed)
     beam = [Board(variant)]
@@ -364,7 +368,7 @@ def nmcs(
     """
     if level < 0:
         raise ValueError("level must be >= 0")
-    _check_budgets(node_budget, time_budget)
+    _check_search(variant, node_budget, time_budget)
     t0 = time.perf_counter()
     state = _Nmcs(variant, seed, node_budget, time_budget, stop_score)
     reason = "complete"
@@ -511,7 +515,7 @@ def exhaustive_solve(
     hit any realistic budget.  A ``board`` of another variant than
     ``variant`` raises ``ValueError``.
     """
-    _check_budgets(node_budget)
+    _check_search(variant, node_budget)
     t0 = time.perf_counter()
     if board is None:
         board = Board(variant)

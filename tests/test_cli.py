@@ -13,8 +13,10 @@ import pytest
 
 from morpion import cli, potential
 from morpion.cli import main
-from morpion.recordio import parse_layout, parse_record
-from morpion.solver import SearchConfig
+from morpion.engine import Board, GameRecord
+from morpion.geometry import Variant
+from morpion.recordio import emit_record, parse_layout, parse_record
+from morpion.solver import STRATEGIES, SearchConfig
 
 from conftest import HUGE, OVERSIZED_FIELDS
 
@@ -198,6 +200,27 @@ def test_solve_rejects_negative_or_nan_budgets(capsys, argv):
     assert code == 2
     assert out == ""
     assert "budget must be >= 0" in err
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("variant", ["3D", "3T"])
+def test_solve_refuses_line_length_3(capsys, strategy, variant):
+    code, out, err = run(capsys, "solve", "--strategy", strategy, "--variant", variant)
+    assert code == 2
+    assert out == ""
+    assert "without end" in err
+
+
+@pytest.mark.parametrize("command", ["replay", "verify", "render"])
+def test_line_length_3_records_still_replay(capsys, tmp_path, command):
+    board = Board(Variant(3, True))
+    for _ in range(4):
+        board.apply(board.legal_moves()[0])
+    path = tmp_path / "three.rec"
+    path.write_text(emit_record(GameRecord(board.variant, board.moves)))
+    code, out, _ = run(capsys, command, str(path))
+    assert code == 0
+    assert out
 
 
 def test_replay_summarizes_board(capsys):

@@ -108,7 +108,8 @@ def test_conflicts_agrees_with_segment_relation(alpha, touching, placed, probe):
     new = seg(*probe)
     forbidden = {OVERLAPPING} if touching else {OVERLAPPING, TOUCHING}
     want = any(segment_relation(new, seg(*line)) in forbidden for line in placed)
-    assert conflicts(offsets, conflict_reach(alpha, touching), *probe) == want
+    d, key, off = probe
+    assert conflicts(offsets, conflict_reach(alpha, touching), (d, key), off) == want
 
 
 def test_variant_names_roundtrip():

@@ -200,6 +200,24 @@ def test_negative_or_nan_budgets_are_rejected(search):
         search()
 
 
+@pytest.mark.parametrize("variant", [Variant(3, False), Variant(3, True)])
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda v: random_playout(v, 0),
+        lambda v: playout_sweep(v, 0, 1),
+        lambda v: beam_search(v, 1, 0),
+        lambda v: nmcs(v, 1, 0),
+        lambda v: exhaustive_solve(v, node_budget=3000),
+    ],
+)
+def test_searches_refuse_line_length_3(variant, search):
+    # 3D/3T play does not run out of moves, so each of these would never
+    # return (or would recurse past the stack in the exhaustive case)
+    with pytest.raises(ValueError, match="without end"):
+        search(variant)
+
+
 def test_zero_budgets_stop_at_once():
     assert nmcs(FIVE_D, 1, 0, time_budget=0.0).stopped_reason == "time-budget"
     assert exhaustive_solve(SIX_D, node_budget=0).nodes_expanded == 0
