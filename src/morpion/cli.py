@@ -9,6 +9,7 @@ its wall time; golden tests mask that field.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .engine import IllegalMoveError, replay
@@ -35,6 +36,8 @@ from .recordio import (
 from .solver import STRATEGIES, SearchConfig, solve
 
 
+# built once per process: parse_args fills a fresh Namespace on every call
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="morpion", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)

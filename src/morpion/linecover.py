@@ -22,7 +22,11 @@ Scanning N upward with these rules yields the bounds 132, 121, and 125 (the
 refinement without rule B).  ``min_cover_exact`` is a brute-force oracle for
 the minimum coverage at desk scale, and the packing constructors build
 layouts witnessing that c(N) <= N+36 holds for all N the bag of rules cannot
-exclude, which caps what this style of argument can prove.
+exclude, which caps what this style of argument can prove.  They pack each
+shape's collinear runs greedily, then a post-pass shifts lines to shed
+points and adds lines while the n+36 slack allows; it keeps cover counts
+and per-lattice-line offers up to date, so each shift or added line
+re-scores only the points and lattice lines it touches.
 """
 
 from __future__ import annotations
@@ -446,11 +450,21 @@ class PackResult:
 def _improve(layout: Layout) -> Layout:
     """Greedy post-pass: shift lines to shed coverage, then add cheap lines.
 
-    A shift slides one line along its lattice line while keeping the layout
-    valid, kept when total coverage strictly drops.  An addition appends one
-    more line at the end of an existing lattice line's packed run, kept while
-    the n+36 slack allows it (each new line must bring at most
-    new_line_count points beyond its own count plus the slack available).
+    A shift slides one line by 1 or 2 along its lattice line while keeping
+    the layout valid, kept when total coverage strictly drops.  Only the
+    points that leave at one end and enter at the other change, so a shift
+    gains (leaving points no other line covers) - (entering points nothing
+    covers); the first shift of greatest positive gain in the order -2, -1,
+    1, 2 wins.
+
+    An addition appends one more line at either end of an existing lattice
+    line's packed run, kept while the n+36 slack allows it (each new line
+    must bring at most new_line_count points beyond its own count plus the
+    slack available).  Each lattice line keeps its cheaper end as its offer,
+    and the least (fresh points, segment) offer is added.  An addition only
+    changes the offers of its own lattice line and of the lattice lines whose
+    offer windows hold a point it is the first to cover, so only those are
+    re-scored.
     """
     segs = layout.segments()
     # cover counts per point and sorted offsets per lattice line, kept in
@@ -479,51 +493,70 @@ def _improve(layout: Layout) -> Layout:
     while improved:
         improved = False
         for i, seg in enumerate(segs):
-            cov = len(count)
-            pts = seg.points()
             d, key, offset = seg.direction, seg.key, seg.offset
-            # coverage without seg; a candidate adds its points that no
-            # other line covers
-            rest = cov - sum(1 for p in pts if count[p] == 1)
-            best_seg, best_cov = seg, cov
+            line = (d, key)
+            sx, sy = d.step
+            x, y = seg.anchor
+            # run[j + 2] is the point j steps past the anchor, for j in -2..6
+            run = [(x + j * sx, y + j * sy) for j in range(-2, 7)]
             # test the shifts against the other lines on seg's lattice line
-            mates = offsets[d, key]
+            mates = offsets[line]
             mates.remove(offset)
+            best_delta, best_gain = 0, 0
             for delta in (-2, -1, 1, 2):
-                off = offset + delta
-                if conflicts(offsets, _REACH, (d, key), off):
+                if conflicts(offsets, _REACH, line, offset + delta):
                     continue
-                cand = Segment(d, point_at(d, key, off), 5)
-                cand_cov = rest + sum(
-                    1 for p in cand.points() if count.get(p, 0) - (p in pts) == 0
+                if delta > 0:
+                    leaving, entering = run[2 : 2 + delta], run[7 : 7 + delta]
+                else:
+                    leaving, entering = run[7 + delta : 7], run[2 + delta : 2]
+                gain = sum(1 for p in leaving if count[p] == 1) - sum(
+                    1 for p in entering if p not in count
                 )
-                if cand_cov < best_cov:
-                    best_seg, best_cov = cand, cand_cov
+                if gain > best_gain:
+                    best_delta, best_gain = delta, gain
             bisect.insort(mates, offset)
-            if best_seg != seg:
+            if best_delta:
+                moved = Segment(d, run[2 + best_delta], 5)
                 place(seg, -1)
-                place(best_seg, 1)
-                segs[i] = best_seg
+                place(moved, 1)
+                segs[i] = moved
                 improved = True
 
     # addition pass
-    while True:
+    def offer(line: tuple[Direction, int]) -> tuple[int, Segment]:
+        d, key = line
+        offs = offsets[line]
+        return min(
+            (sum(1 for p in cand.points() if p not in count), cand)
+            for cand in (
+                Segment(d, point_at(d, key, offs[0] - 5), 5),
+                Segment(d, point_at(d, key, offs[-1] + 5), 5),
+            )
+        )
+
+    offers = {line: offer(line) for line in offsets}
+    while offers:
+        fresh, add = min(offers.values())
         slack = len(segs) + 36 - len(count)
-        best_add: Segment | None = None
-        best_fresh = None
-        for d, key in sorted(offsets):
-            offs = offsets[d, key]
-            for off in (offs[0] - 5, offs[-1] + 5):
-                cand = Segment(d, point_at(d, key, off), 5)
-                fresh = sum(1 for p in cand.points() if p not in count)
-                if best_fresh is None or fresh < best_fresh or (
-                    fresh == best_fresh and cand < best_add  # type: ignore[operator]
-                ):
-                    best_add, best_fresh = cand, fresh
-        if best_add is None or best_fresh is None or best_fresh > slack + 1:
+        if fresh > slack + 1:
             break
-        segs.append(best_add)
-        place(best_add, 1)
+        # only the points add is the first to cover change other offers
+        covered = [p for p in add.points() if p not in count]
+        segs.append(add)
+        place(add, 1)
+        stale = {(add.direction, add.key)}
+        for p in covered:
+            for d in DIRECTIONS:
+                line = (d, line_key(d, *p))
+                offs = offsets.get(line)
+                if offs is None:
+                    continue
+                off = line_offset(d, *p)
+                if offs[0] - 5 <= off < offs[0] or offs[-1] + 5 <= off < offs[-1] + 10:
+                    stale.add(line)
+        for line in stale:
+            offers[line] = offer(line)
 
     return Layout.from_segments(segs)
 

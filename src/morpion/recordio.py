@@ -56,10 +56,21 @@ class RecordParseError(ValueError):
         self.column = column
 
 
-# Cumulative-prefix token lists: on a mismatch the failing token names what
-# was expected and the last matched prefix gives the column; the groups of a
-# full match are the line's fields.
-_MOVE_PARTS = (
+def _prefixes(parts: tuple[tuple[str, str], ...]) -> tuple[tuple[re.Pattern, str], ...]:
+    """Each token's cumulative prefix pattern, compiled, with what the token expects."""
+    out = []
+    pattern = ""
+    for fragment, want in parts:
+        pattern += fragment
+        out.append((re.compile(pattern), want))
+    return tuple(out)
+
+
+# Cumulative-prefix token lists: the last prefix is the whole line, whose
+# groups are the line's fields.  On a mismatch the first failing prefix
+# names what was expected and the end of the last matching one gives the
+# column.
+_MOVE_PARTS = _prefixes((
     (r"(\d+)", "move index"),
     (r" cross=", "' cross='"),
     (r"(-?\d+),(-?\d+)", "cross coordinates <x>,<y>"),
@@ -68,27 +79,29 @@ _MOVE_PARTS = (
     (r" anchor=", "' anchor='"),
     (r"(-?\d+),(-?\d+)", "anchor coordinates <x>,<y>"),
     (r"\Z", "end of line"),
-)
-_LAYOUT_PARTS = (
+))
+_LAYOUT_PARTS = _prefixes((
     (r"dir=", "'dir='"),
     (r"(NE|SE|E|N)", "direction (E|N|NE|SE)"),
     (r" anchor=", "' anchor='"),
     (r"(-?\d+),(-?\d+)", "anchor coordinates <x>,<y>"),
     (r"\Z", "end of line"),
-)
+))
 _META_RE = re.compile(r"# ([A-Za-z0-9_.-]+)=(.*)\Z")
 
 
 def _match_parts(parts, text: str, lineno: int) -> re.Match:
-    pattern = ""
+    m = parts[-1][0].match(text)
+    if m is not None:
+        return m
+    # the whole line failed: walk the prefixes to name the token and column
     pos = 0
-    for fragment, want in parts:
-        pattern += fragment
-        m = re.match(pattern, text)
+    for prefix, want in parts:
+        m = prefix.match(text)
         if m is None:
-            raise RecordParseError(f"expected {want}", lineno, pos + 1)
+            break
         pos = m.end()
-    return m
+    raise RecordParseError(f"expected {want}", lineno, pos + 1)
 
 
 def _ints(m: re.Match, groups: tuple[int, ...], lineno: int) -> list[int]:

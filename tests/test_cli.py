@@ -158,6 +158,14 @@ def test_solve_exhaustive_stops_at_the_node_budget(capsys):
     assert re.fullmatch(r"score=\d+ nodes=100 time=\d+ms\n", out)
 
 
+def test_parsed_options_do_not_carry_over_between_calls(capsys):
+    # one parser serves every call; a --width left over from the first call
+    # would make random play reject it (exit 2)
+    code1, _, _ = run(capsys, "solve", "--strategy", "beam", "--width", "4", "--node-budget", "50")
+    code2, _, err = run(capsys, "solve", "--strategy", "random", "--seed", "1")
+    assert (code1, code2, err) == (0, 0, "")
+
+
 def test_every_search_config_field_has_a_solve_flag():
     assert {f.name for f in fields(SearchConfig)} - {"strategy"} == set(cli._SOLVE_FLAGS)
 

@@ -6,11 +6,13 @@ never with another exception.  Texts are built from record and layout
 fragments (a legal game's moves, well-formed and mangled lines, oversized
 integers) as well as from arbitrary characters, so that examples get past
 the header into the move, replay and render paths.  The CLI also reads
-raw bytes, some of them not UTF-8.
+raw bytes, some of them not UTF-8.  The record-line matcher, which tries the
+whole line first, is checked against a walk over its cumulative prefixes.
 """
 
 import contextlib
 import io
+import re
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,15 @@ from morpion.cli import main
 from morpion.engine import IllegalMoveError
 from morpion.geometry import FIVE_D
 from morpion.linecover import LayoutError
-from morpion.recordio import RecordParseError, emit_record, parse_layout, parse_record
+from morpion.recordio import (
+    _LAYOUT_PARTS,
+    _MOVE_PARTS,
+    RecordParseError,
+    _match_parts,
+    emit_record,
+    parse_layout,
+    parse_record,
+)
 from morpion.solver import random_playout
 
 from conftest import HUGE
@@ -119,3 +129,42 @@ def test_main_reading_fuzzed_files_exits_0_1_or_2(tmp_path, data, command):
     except UnicodeDecodeError:
         # a malformed input file, not a usage error
         assert code == 1
+
+
+def walk_parts(parts, text, lineno):
+    """Reference line matcher: match every cumulative prefix, stop at the first failure."""
+    pos = 0
+    for prefix, want in parts:
+        m = re.match(prefix.pattern, text)
+        if m is None:
+            raise RecordParseError(f"expected {want}", lineno, pos + 1)
+        pos = m.end()
+    return m
+
+
+@st.composite
+def mutated(draw, lines):
+    """A well-formed-looking line with a few characters inserted, deleted or replaced."""
+    text = draw(lines)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        at = draw(st.integers(min_value=0, max_value=len(text)))
+        cut = draw(st.integers(min_value=0, max_value=2))
+        text = text[:at] + draw(st.text(" =,-0123456789ENSacdhinorsx\n", max_size=2)) + text[at + cut:]
+    return text
+
+
+def outcome(matcher, parts, text):
+    try:
+        return matcher(parts, text, 7).groups()
+    except RecordParseError as exc:
+        return (str(exc), exc.line, exc.column)
+
+
+@FUZZ
+@given(st.one_of(
+    st.tuples(st.just(_MOVE_PARTS), mutated(st.one_of(move_lines, st.sampled_from(GAME_LINES)))),
+    st.tuples(st.just(_LAYOUT_PARTS), mutated(layout_lines)),
+))
+def test_match_parts_agrees_with_the_prefix_walk(case):
+    parts, text = case
+    assert outcome(_match_parts, parts, text) == outcome(walk_parts, parts, text)

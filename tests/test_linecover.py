@@ -6,17 +6,19 @@ point sets.  The production search (translation normalization, symmetry
 pooling, pruning) must agree with it exactly.
 """
 
+import bisect
 import itertools
 
 import numpy as np
 import pytest
 
-from morpion.geometry import DIRECTIONS, Direction, Segment
+from morpion.geometry import DIRECTIONS, Direction, Segment, conflicts, point_at
 from morpion.linecover import (
     ALL_RULES,
     RULE_A,
     RULE_B,
     RULE_REMARK,
+    _REACH,
     ExactSearchBudgetError,
     Layout,
     LayoutError,
@@ -33,6 +35,7 @@ from morpion.linecover import (
     pack_runs,
     packing_search,
     random_layout,
+    _improve,
     scan_table,
     verify_layout,
 )
@@ -272,6 +275,94 @@ def test_packing_search_rectangles():
 def test_packing_search_rejects_unknown_family():
     with pytest.raises(ValueError):
         packing_search("hexagon", range(4, 6), range(4, 6))
+
+
+def reference_improve(layout):
+    """The packing post-pass scored from scratch: every shift builds its
+    segment and counts its five points, and every addition re-scores both
+    ends of every lattice line."""
+    segs = layout.segments()
+    count = {}
+    offsets = {}
+
+    def place(seg, sign):
+        for p in seg.points():
+            n = count.get(p, 0) + sign
+            if n:
+                count[p] = n
+            else:
+                del count[p]
+        line_offs = offsets.setdefault((seg.direction, seg.key), [])
+        if sign > 0:
+            bisect.insort(line_offs, seg.offset)
+        else:
+            line_offs.remove(seg.offset)
+
+    for seg in segs:
+        place(seg, 1)
+
+    improved = True
+    while improved:
+        improved = False
+        for i, seg in enumerate(segs):
+            cov = len(count)
+            pts = seg.points()
+            d, key, offset = seg.direction, seg.key, seg.offset
+            rest = cov - sum(1 for p in pts if count[p] == 1)
+            best_seg, best_cov = seg, cov
+            mates = offsets[d, key]
+            mates.remove(offset)
+            for delta in (-2, -1, 1, 2):
+                off = offset + delta
+                if conflicts(offsets, _REACH, (d, key), off):
+                    continue
+                cand = Segment(d, point_at(d, key, off), 5)
+                cand_cov = rest + sum(
+                    1 for p in cand.points() if count.get(p, 0) - (p in pts) == 0
+                )
+                if cand_cov < best_cov:
+                    best_seg, best_cov = cand, cand_cov
+            bisect.insort(mates, offset)
+            if best_seg != seg:
+                place(seg, -1)
+                place(best_seg, 1)
+                segs[i] = best_seg
+                improved = True
+
+    while True:
+        slack = len(segs) + 36 - len(count)
+        best_add = None
+        best_fresh = None
+        for d, key in sorted(offsets):
+            offs = offsets[d, key]
+            for off in (offs[0] - 5, offs[-1] + 5):
+                cand = Segment(d, point_at(d, key, off), 5)
+                fresh = sum(1 for p in cand.points() if p not in count)
+                if best_fresh is None or fresh < best_fresh or (
+                    fresh == best_fresh and cand < best_add
+                ):
+                    best_add, best_fresh = cand, fresh
+        if best_add is None or best_fresh > slack + 1:
+            break
+        segs.append(best_add)
+        place(best_add, 1)
+
+    return Layout.from_segments(segs)
+
+
+def test_improve_matches_the_from_scratch_reference():
+    layouts = [
+        pack_runs(pts)
+        for w in range(4, 13)
+        for h in range(4, 13)
+        for c in range(5)
+        if (pts := octagon_points(w, h, (c, c, c, c)))
+    ]
+    assert len(layouts) == 399
+    layouts += [random_layout(np.random.default_rng(seed)) for seed in range(300)]
+    layouts += [grid_packing(n) for n in range(1, 13)]
+    for layout in layouts:
+        assert _improve(layout).segments() == reference_improve(layout).segments()
 
 
 def test_random_layouts_never_beat_certified_lower_bounds():
