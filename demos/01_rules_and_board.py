@@ -34,8 +34,8 @@ second = Move((5, 3), Direction.E, (4, 3))
 for b in (d_board, t_board):
     b.apply(first)
 
-print("touching line legal under 5D?", d_board.is_legal(second)[0])
-print("touching line legal under 5T?", t_board.is_legal(second)[0])
+print("touching line legal under 5D?", d_board.legality_failure(second) is None)
+print("touching line legal under 5T?", t_board.legality_failure(second) is None)
 
 # undo restores the previous position exactly
 board.undo()

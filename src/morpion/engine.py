@@ -280,12 +280,8 @@ class Board:
     def has_legal_moves(self) -> bool:
         return bool(self._legal)
 
-    def is_legal(self, move: Move) -> tuple[bool, str | None]:
-        """Legality plus the first violated clause (None when legal)."""
-        reason = self.legality_failure(move)
-        return (reason is None, reason)
-
     def legality_failure(self, move: Move) -> str | None:
+        """The first violated clause, or None when the move is legal."""
         if move in self._legal:
             return None
         if move.cross in self.crosses:

@@ -27,6 +27,11 @@ shape's collinear runs greedily, then a post-pass shifts lines to shed
 points and adds lines while the n+36 slack allows; it keeps cover counts
 and per-lattice-line offers up to date, so each shift or added line
 re-scores only the points and lattice lines it touches.
+
+The counting analyses (the bound ladder, ``min_cover_exact`` and
+``lemma_counting_replay``) are for length-5 lines only, though a layout
+file may hold lines of length 3 to 6; ``lemma_counting_replay`` raises
+``LayoutError`` on a layout of any other alpha.
 """
 
 from __future__ import annotations
@@ -100,9 +105,6 @@ class Layout:
     @property
     def line_count(self) -> int:
         return sum(len(self.lines[d]) for d in DIRECTIONS)
-
-    def direction_counts(self) -> dict[Direction, int]:
-        return {d: len(self.lines[d]) for d in DIRECTIONS}
 
     def points(self) -> set[Point]:
         covered: set[Point] = set()
@@ -332,10 +334,13 @@ def lemma_counting_replay(layout: Layout, d1: Direction, d2: Direction) -> int:
     3. hence >= 4 points of that class are missed by the ``d2`` lines,
 
     and returns the implied floor (5k+1)*5 + 4 after confirming the layout's
-    two-direction coverage meets it.
+    two-direction coverage meets it.  A layout whose alpha is not 5 raises
+    ``LayoutError``.
     """
     if d1 == d2:
         raise ValueError("the two directions must differ")
+    if layout.alpha != 5:
+        raise LayoutError(f"the counting replay needs length-5 lines, got alpha={layout.alpha}")
     ok, why = verify_layout(layout)
     if not ok:
         raise LayoutError(why)

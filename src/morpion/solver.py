@@ -199,6 +199,11 @@ def beam_search(
 
     Duplicate positions within a level (the same lines via a different
     move order) are merged before selection.
+
+    The result is the beam's first board when the search stops, on
+    completion (no board has a move) or on the node budget.  Every board in
+    the beam has the same depth, so the first is as deep as any board the
+    search reached.
     """
     if width < 1:
         raise ValueError("beam width must be >= 1")
@@ -206,29 +211,20 @@ def beam_search(
     t0 = time.perf_counter()
     rng = rng_stream(seed)
     beam = [Board(variant)]
-    best_board = beam[0]
-    best_score = 0
     nodes = 0
     reason = "complete"
     while True:
         candidates: list[tuple[float, int, Move]] = []
         seen: set[frozenset] = set()
-        alive = False
         for bi, board in enumerate(beam):
-            moves = board.legal_moves()
-            if not moves:
-                if board.score > best_score:
-                    best_score, best_board = board.score, board
-                continue
-            alive = True
             lines = board.state_key()
-            for m in moves:
+            for m in board.legal_moves():
                 key = lines | {(m.direction, m.anchor)}
                 if key in seen:
                     continue
                 seen.add(key)
                 candidates.append((float(rng.random()), bi, m))
-        if not alive or not candidates:
+        if not candidates:
             break
         candidates.sort(key=itemgetter(0))
         # a level is counted whole or not at all, so nodes never pass the budget
@@ -236,18 +232,11 @@ def beam_search(
             reason = "node-budget"
             break
         nodes += len(candidates)
-        next_beam = []
-        for _, bi, m in candidates[:width]:
-            next_beam.append(beam[bi].copy().apply(m))
-        beam = next_beam
-        tail = max(beam, key=lambda b: b.score)
-        if tail.score > best_score:
-            best_score, best_board = tail.score, tail
-    record = record_from_board(
-        best_board, strategy="beam", seed=str(seed), width=str(width)
-    )
+        beam = [beam[bi].copy().apply(m) for _, bi, m in candidates[:width]]
+    best = beam[0]
+    record = record_from_board(best, strategy="beam", seed=str(seed), width=str(width))
     check_record_bounds(record)
-    return SearchResult(record, best_score, nodes, time.perf_counter() - t0, reason)
+    return SearchResult(record, best.score, nodes, time.perf_counter() - t0, reason)
 
 
 def greedy(variant: Variant, seed: int) -> SearchResult:
@@ -486,9 +475,6 @@ class _SymmetricKeys:
         images = self.moves
         return (h, tuple(sorted([images[m][0][frame] for m in moves])))
 
-    def key_of(self, board: Board) -> tuple:
-        return self.key(self.hashes(board.moves), board.moves)
-
 
 def exhaustive_solve(
     variant: Variant,
@@ -506,10 +492,15 @@ def exhaustive_solve(
     merge is never wrong; a 64-bit hash collision can only miss a merge,
     which would show as a larger node count and never as a different value.
     The table stores the exact number of further moves available from each
-    state, and the best line is reconstructed from the filled table
-    afterwards.  Without transpositions this is a plain DFS, kept as the
-    reference to test the merging against.  Exceeding the node budget
-    returns the best game found so far flagged non-exact.
+    state.  Without transpositions this is a plain DFS, kept as the
+    reference to test the merging against.
+
+    The reported line is the first the DFS reaches at its greatest depth.
+    Moves are tried in canonical order, and a state is skipped only when a
+    twin of the same depth was expanded earlier through a lexicographically
+    smaller prefix, so this is the lexicographically first optimal line,
+    with or without transpositions.  Exceeding the node budget returns the
+    deepest line found so far flagged non-exact.
 
     Sized for length-6 variants and synthetic positions; a 5D/5T run will
     hit any realistic budget.  A ``board`` of another variant than
@@ -563,25 +554,9 @@ def exhaustive_solve(
     # frees the table now instead of at the next cyclic collection
     dfs = None  # type: ignore[assignment]
 
-    if not budget_hit and use_transpositions:
-        # replay the optimum from the filled table, preferring the first
-        # move in canonical order at every step
-        walk = board
-        line: list[Move] = []
-        while True:
-            target = table.get(keys.key_of(walk), 0)
-            if target == 0:
-                break
-            for m in walk.legal_moves():
-                walk.apply(m)
-                if table.get(keys.key_of(walk), -1) == target - 1:
-                    line.append(m)
-                    break
-                walk.undo()
-            else:
-                raise AssertionError("transposition table lost the optimal line")
-        best_moves = line
-        best_seen = value
+    # a merged state's twin was expanded first, at the same depth, and reached
+    # as deep, so a complete search has seen a line of every depth it scores
+    assert budget_hit or best_seen == value, "a merge overstated a value"
     record = GameRecord(
         variant,
         best_moves,

@@ -1,9 +1,35 @@
 """Shared test helpers."""
 
+import signal
+
 import numpy as np
+import pytest
 
 from morpion.geometry import Segment, point_at
 from morpion.linecover import Layout
+
+# the largest budget an acceptance criterion allows, so only a loop that
+# never ends reaches it
+TEST_TIME_LIMIT_S = 600
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail a test that runs past ``TEST_TIME_LIMIT_S`` instead of hanging."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        pytest.fail(f"test ran past the {TEST_TIME_LIMIT_S} s time limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def two_direction_layout(rng, d1, d2, k, alpha=5):

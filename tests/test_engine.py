@@ -167,8 +167,7 @@ def test_first_move_example_legal():
     """Placing (2,0) and drawing east through (2..6,0) is a legal opener."""
     board = Board(FIVE_D)
     move = Move((2, 0), Direction.E, (2, 0))
-    ok, reason = board.is_legal(move)
-    assert ok and reason is None
+    assert board.legality_failure(move) is None
     board.apply(move)
     assert (2, 0) in board.crosses
     assert board.score == 1
@@ -177,9 +176,7 @@ def test_first_move_example_legal():
 def test_illegal_move_reason_names_first_empty_point():
     board = Board(FIVE_D)
     move = Move((1, 0), Direction.E, (1, 0))  # would need (2,0) which is empty
-    ok, reason = board.is_legal(move)
-    assert not ok
-    assert reason == "(c): point 2,0 empty"
+    assert board.legality_failure(move) == "(c): point 2,0 empty"
     with pytest.raises(IllegalMoveError) as err:
         board.apply(move)
     assert "(c): point 2,0 empty" in str(err.value)
@@ -188,15 +185,12 @@ def test_illegal_move_reason_names_first_empty_point():
 def test_illegal_reasons_cover_all_clauses():
     board = Board(FIVE_D)
     # (a) cross already present
-    ok, reason = board.is_legal(Move((0, 3), Direction.N, (0, 3)))
-    assert not ok and reason.startswith("(a)")
+    assert board.legality_failure(Move((0, 3), Direction.N, (0, 3))).startswith("(a)")
     # (b) line missing the new cross
-    ok, reason = board.is_legal(Move((2, 0), Direction.E, (3, 0)))
-    assert not ok and reason.startswith("(b)")
+    assert board.legality_failure(Move((2, 0), Direction.E, (3, 0))).startswith("(b)")
     # (d) conflict with an existing line
     board.apply(Move((2, 0), Direction.E, (2, 0)))
-    ok, reason = board.is_legal(Move((7, 0), Direction.E, (3, 0)))
-    assert not ok and reason.startswith("(d)")
+    assert board.legality_failure(Move((7, 0), Direction.E, (3, 0))).startswith("(d)")
 
 
 def test_touching_rule_splits_5d_from_5t():
@@ -206,8 +200,8 @@ def test_touching_rule_splits_5d_from_5t():
     for variant, allowed in ((FIVE_T, True), (FIVE_D, False)):
         board = Board(variant)
         board.apply(m1)
-        ok, reason = board.is_legal(m2)
-        assert ok is allowed
+        reason = board.legality_failure(m2)
+        assert (reason is None) is allowed
         if not allowed:
             assert reason.startswith("(d)")
         else:

@@ -216,6 +216,14 @@ def test_counting_replay_rejects_wrong_line_counts():
         lemma_counting_replay(layout, Direction.E, Direction.SE)
 
 
+@pytest.mark.parametrize("alpha", [4, 6])
+def test_counting_replay_rejects_other_line_lengths(alpha):
+    # 5k+1 lines in each direction, so only the alpha check can refuse it
+    layout = two_direction_layout(np.random.default_rng(5), Direction.E, Direction.N, 1, alpha)
+    with pytest.raises(LayoutError, match=f"alpha={alpha}"):
+        lemma_counting_replay(layout, Direction.E, Direction.N)
+
+
 def test_counting_replay_ignores_extra_directions():
     rng = np.random.default_rng(23)
     layout = two_direction_layout(rng, Direction.E, Direction.N, 1)
@@ -240,7 +248,7 @@ def test_grid_packing_10_is_the_64_line_witness():
     assert layout.line_count == 64
     assert coverage(layout) == 100
     assert layout.points() == grid_points(10)
-    counts = layout.direction_counts()
+    counts = {d: len(layout.lines[d]) for d in DIRECTIONS}
     assert counts[Direction.E] == counts[Direction.N] == 20
     assert counts[Direction.NE] == counts[Direction.SE] == 12
 

@@ -149,8 +149,7 @@ def test_coordinate_mutations_are_caught_exactly_when_illegal():
         board = Board(FIVE_D)
         expect_illegal = False
         for m in mutated:
-            ok, _ = board.is_legal(m)
-            if not ok:
+            if board.legality_failure(m) is not None:
                 expect_illegal = True
                 break
             board.apply(m)

@@ -253,7 +253,8 @@ def test_exhaustive_agrees_with_plain_dfs_on_synthetic_boards():
         )
         assert merged.exact and plain.exact
         assert merged.best_score == plain.best_score
-        # the reconstructed optimal line must replay legally to that score
+        # both report the lexicographically first optimal line
+        assert merged.best_record.moves == plain.best_record.moves
         board = tiny_board(crosses)
         for mv in merged.best_record.moves:
             board.apply(mv)
@@ -298,6 +299,7 @@ def test_exhaustive_agrees_with_plain_dfs_on_symmetric_starts(variant):
     plain = exhaustive_solve(variant, board=start, use_transpositions=False)
     assert merged.exact and plain.exact
     assert merged.best_score == plain.best_score
+    assert merged.best_record.moves == plain.best_record.moves
     # exact counts pin the merge partition: a key that merged more states,
     # or fewer, would change the first
     assert (merged.nodes_expanded, plain.nodes_expanded) == (810, 6330)
@@ -424,7 +426,7 @@ def test_symmetric_key_matches_reference_partition(variant):
                 board = start.copy()
                 for mv in symmetric_image(start, sym, game[:depth]):
                     board.apply(mv)  # the start is symmetric: every image is legal
-                new_key = keys.key_of(board)
+                new_key = keys.key(keys.hashes(board.moves), board.moves)
                 new_keys.add(new_key)
                 states.append((new_key, reference(board)))
             assert len(new_keys) == 1, "the key must not depend on the frame"
