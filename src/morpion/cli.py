@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import sys
+import time
 
 from .engine import IllegalMoveError, replay
 from .geometry import ConfigurationError, Variant
@@ -33,7 +35,30 @@ from .recordio import (
     parse_record,
     render,
 )
-from .solver import STRATEGIES, SearchConfig, solve
+from .solver import SearchResult, beam_search, exhaustive_solve, greedy, nmcs, random_playout
+
+
+def _random(variant: Variant, seed: int = 0) -> SearchResult:
+    """One random playout as a search result; its nodes are the moves played."""
+    t0 = time.perf_counter()
+    record = random_playout(variant, seed)
+    return SearchResult(record, len(record.moves), len(record.moves), time.perf_counter() - t0)
+
+
+# each strategy's search; the solve flags it accepts are its keyword parameters
+_SEARCHES = {
+    "random": _random,
+    "greedy": greedy,
+    "beam": beam_search,
+    "nmcs": nmcs,
+    "exhaustive": exhaustive_solve,
+}
+
+
+def _keywords(*searches) -> dict:
+    """The searches' keyword parameters and their defaults (the searches agree)."""
+    params = [p for s in searches for p in inspect.signature(s).parameters.values()]
+    return {p.name: p.default for p in params if p.default is not p.empty}
 
 
 # built once per process: parse_args fills a fresh Namespace on every call
@@ -59,15 +84,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("solve", help="run a search strategy")
     c.add_argument("--variant", default="5D")
-    c.add_argument("--strategy", default="random", choices=STRATEGIES)
-    # unset options keep SearchConfig's defaults; see _SOLVE_OPTIONS
-    c.add_argument("--seed", type=int, help=f"default {SearchConfig.seed}")
-    c.add_argument("--level", type=int, dest="nmcs_level", metavar="LEVEL",
-                   help=f"NMCS nesting level (default {SearchConfig.nmcs_level})")
-    c.add_argument("--width", type=int, dest="beam_width", metavar="WIDTH",
-                   help=f"beam width (default {SearchConfig.beam_width})")
+    c.add_argument("--strategy", default="random", choices=_SEARCHES)
+    # each search flag sets the keyword of its name; unset, the search's default holds
+    defaults = _keywords(*_SEARCHES.values())
+    c.add_argument("--seed", type=int, help=f"default {defaults['seed']}")
+    c.add_argument("--level", type=int, help=f"NMCS nesting level (default {defaults['level']})")
+    c.add_argument("--width", type=int, help=f"beam width (default {defaults['width']})")
     c.add_argument("--node-budget", type=int, metavar="NODES",
-                   help=f"default {SearchConfig.node_budget}")
+                   help=f"default {defaults['node_budget']}")
     c.add_argument("--time-budget", type=float, metavar="SECONDS", help="NMCS only")
     c.add_argument("--out", help="write the best record file here")
 
@@ -160,30 +184,15 @@ def _cmd_pack(args) -> int:
     return 0
 
 
-# the solve options each strategy reads; giving it any other is a usage error
-_SOLVE_OPTIONS = {
-    "random": ("seed",),
-    "greedy": ("seed",),
-    "beam": ("seed", "beam_width", "node_budget"),
-    "nmcs": ("seed", "nmcs_level", "node_budget", "time_budget"),
-    "exhaustive": ("node_budget",),
-}
-_SOLVE_FLAGS = {
-    "seed": "--seed",
-    "nmcs_level": "--level",
-    "beam_width": "--width",
-    "node_budget": "--node-budget",
-    "time_budget": "--time-budget",
-}
-
-
 def _cmd_solve(args) -> int:
     variant = Variant.from_name(args.variant)
-    given = {k: getattr(args, k) for k in _SOLVE_FLAGS if getattr(args, k) is not None}
-    ignored = [_SOLVE_FLAGS[k] for k in given if k not in _SOLVE_OPTIONS[args.strategy]]
+    search = _SEARCHES[args.strategy]
+    flags = _keywords(*_SEARCHES.values())
+    given = {k: v for k, v in vars(args).items() if k in flags and v is not None}
+    ignored = ["--" + k.replace("_", "-") for k in given if k not in _keywords(search)]
     if ignored:
         raise ValueError(f"--strategy {args.strategy} ignores {', '.join(ignored)}")
-    result = solve(variant, SearchConfig(strategy=args.strategy, **given))
+    result = search(variant, **given)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(emit_record(result.best_record))

@@ -147,7 +147,7 @@ def verify_record(record: GameRecord) -> Verification:
         try:
             board.apply(move)
         except IllegalMoveError as exc:
-            raise MonitorFailure("replay", str(exc)) from None
+            raise MonitorFailure("replay", f"move {i}: {exc}") from None
         if monitored:
             total = _checked_total(board)
     n = len(record.moves)

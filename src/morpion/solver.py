@@ -3,20 +3,25 @@
 Everything here is deterministic given its seed: randomness comes from a
 named 64-bit generator (PCG64), and parallel playout sweeps give worker i
 the stream ``PCG64(seed).jumped(i)`` so results do not depend on worker
-count.  Budgets are expressed in nodes (moves applied); wall-clock budgets
+count.  Budgets are expressed in nodes, which each strategy counts its own
+way: the beam counts the deduplicated candidates of each level it expands,
+NMCS and the exhaustive solver count the moves they apply, and random
+playouts and sweeps count the moves their games play.  Wall-clock budgets
 are honored but a run that stops on time rather than nodes is not guaranteed
 to be reproducible.  A negative node budget, a negative or NaN time budget,
 or line length 3 (3D/3T games can go on without end) raises ``ValueError``.
 
 Every record leaving this module passes a bound guard: it must replay
-legally to N+36 crosses, with cover counts summing to alpha*N for its N
-lines, and a 5D record longer than ``FIVE_D_LINE_BOUND`` (121, the
-line-counting bound; the potential bounds in ``potential.PUBLISHED_BOUNDS``
-are all weaker) fails hard since that can only mean an engine bug.
+legally to N plus the initial crosses (36 for 5D/5T, 48 for 6D/6T), with
+cover counts summing to alpha*N for its N lines, and a 5D record longer
+than ``FIVE_D_LINE_BOUND`` (121, the line-counting bound; the potential
+bounds in ``potential.PUBLISHED_BOUNDS`` are all weaker) fails hard since
+that can only mean an engine bug.
 """
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from dataclasses import dataclass
@@ -29,18 +34,6 @@ from .geometry import Point, Variant, initial_crosses
 
 FIVE_D_LINE_BOUND = 121
 DEFAULT_NODE_BUDGET = 10**8
-
-STRATEGIES = ("random", "greedy", "beam", "nmcs", "exhaustive")
-
-
-@dataclass
-class SearchConfig:
-    seed: int = 0
-    strategy: str = "random"
-    beam_width: int = 64
-    nmcs_level: int = 1
-    time_budget: float | None = None  # seconds
-    node_budget: int = DEFAULT_NODE_BUDGET
 
 
 @dataclass
@@ -148,19 +141,24 @@ def playout_sweep(
 
     Playout i always runs on stream i, so the result is a pure function of
     (variant, seed, playouts) no matter how many workers share the sweep.
-    Ties go to the lowest stream index.
+    Ties go to the lowest stream index.  At most one worker process runs
+    per CPU available to this process.
     """
     _check_search(variant)
     if playouts < 1:
         raise ValueError("playouts must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, playouts, cpus or 1)
     t0 = time.perf_counter()
     chunks: list[tuple[int, int, list[Move], int]]
-    if workers > 1 and playouts > 1:
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         step = -(-playouts // workers)
         spans = [(lo, min(lo + step, playouts)) for lo in range(0, playouts, step)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=len(spans)) as pool:
             chunks = list(
                 pool.map(
                     _sweep_chunk,
@@ -185,8 +183,8 @@ def playout_sweep(
 
 def beam_search(
     variant: Variant,
-    width: int,
-    seed: int,
+    width: int = 64,
+    seed: int = 0,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> SearchResult:
     """Level-synchronous beam ranked by a seeded jitter.
@@ -239,7 +237,7 @@ def beam_search(
     return SearchResult(record, best.score, nodes, time.perf_counter() - t0, reason)
 
 
-def greedy(variant: Variant, seed: int) -> SearchResult:
+def greedy(variant: Variant, seed: int = 0) -> SearchResult:
     """Width-1 beam: one jittered greedy line."""
     result = beam_search(variant, 1, seed)
     result.best_record.metadata["strategy"] = "greedy"
@@ -342,8 +340,8 @@ class _Nmcs:
 
 def nmcs(
     variant: Variant,
-    level: int,
-    seed: int,
+    level: int = 1,
+    seed: int = 0,
     node_budget: int = DEFAULT_NODE_BUDGET,
     time_budget: float | None = None,
     stop_score: int | None = None,
@@ -572,33 +570,3 @@ def exhaustive_solve(
         "node-budget" if budget_hit else "complete",
         exact=not budget_hit,
     )
-
-
-# -- dispatch ---------------------------------------------------------------
-
-
-def solve(variant: Variant, config: SearchConfig) -> SearchResult:
-    """Run the configured strategy; the CLI's single entry point."""
-    if config.strategy == "random":
-        t0 = time.perf_counter()
-        record = random_playout(variant, config.seed)
-        return SearchResult(
-            record, len(record.moves), len(record.moves), time.perf_counter() - t0
-        )
-    if config.strategy == "greedy":
-        return greedy(variant, config.seed)
-    if config.strategy == "beam":
-        return beam_search(
-            variant, config.beam_width, config.seed, node_budget=config.node_budget
-        )
-    if config.strategy == "nmcs":
-        return nmcs(
-            variant,
-            config.nmcs_level,
-            config.seed,
-            node_budget=config.node_budget,
-            time_budget=config.time_budget,
-        )
-    if config.strategy == "exhaustive":
-        return exhaustive_solve(variant, node_budget=config.node_budget)
-    raise ValueError(f"unknown strategy {config.strategy!r} (expected one of {STRATEGIES})")

@@ -5,8 +5,8 @@ time field is masked before comparison; everything else must be
 byte-stable.
 """
 
+import inspect
 import re
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -14,9 +14,9 @@ import pytest
 from morpion import cli, potential
 from morpion.cli import main
 from morpion.engine import Board, GameRecord
-from morpion.geometry import Variant
+from morpion.geometry import FIVE_D, FIVE_T, SIX_D, Variant
 from morpion.recordio import emit_record, parse_layout, parse_record
-from morpion.solver import STRATEGIES, SearchConfig
+from morpion.solver import beam_search, exhaustive_solve, greedy, nmcs, random_playout
 
 from conftest import HUGE, OVERSIZED_FIELDS
 
@@ -110,7 +110,7 @@ def test_verify_flags_tampered_record(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", str(tampered_record(tmp_path)))
     assert code == 1
     assert out == (
-        "verify: FAIL (replay) illegal move Move(cross=(40, 40),"
+        "verify: FAIL (replay) move 5: illegal move Move(cross=(40, 40),"
         " direction=<Direction.N: 1>, anchor=(6, 0)):"
         " (b): line does not cover the placed cross\n"
     )
@@ -166,8 +166,55 @@ def test_parsed_options_do_not_carry_over_between_calls(capsys):
     assert (code1, code2, err) == (0, 0, "")
 
 
-def test_every_search_config_field_has_a_solve_flag():
-    assert {f.name for f in fields(SearchConfig)} - {"strategy"} == set(cli._SOLVE_FLAGS)
+# a variant and search keywords for each strategy
+ROUTES = {
+    "random": (FIVE_D, {"seed": 3}),
+    "greedy": (FIVE_T, {"seed": 2}),
+    "beam": (FIVE_T, {"seed": 1, "width": 4, "node_budget": 500}),
+    "nmcs": (FIVE_D, {"seed": 1, "level": 2, "node_budget": 2000, "time_budget": 600.0}),
+    "exhaustive": (SIX_D, {"node_budget": 3000}),
+}
+
+
+@pytest.mark.parametrize("strategy", ROUTES)
+def test_solve_prints_what_the_strategys_search_returns(capsys, tmp_path, strategy):
+    variant, keywords = ROUTES[strategy]
+    out_path = tmp_path / "best.rec"
+    flags = [f"--{k.replace('_', '-')}={v}" for k, v in keywords.items()]
+    code, out, err = run(
+        capsys, "solve", "--variant", variant.name, "--strategy", strategy, *flags,
+        "--out", str(out_path),
+    )
+    if strategy == "random":
+        record = random_playout(variant, **keywords)
+        score = nodes = len(record.moves)
+    else:
+        search = {"greedy": greedy, "beam": beam_search, "nmcs": nmcs,
+                  "exhaustive": exhaustive_solve}[strategy]
+        result = search(variant, **keywords)
+        record, score, nodes = result.best_record, result.best_score, result.nodes_expanded
+    assert (code, err) == (0, "")
+    assert mask_time(out) == f"score={score} nodes={nodes} time=<T>ms\n"
+    assert out_path.read_text() == emit_record(record)
+
+
+def test_every_solve_flag_sets_a_search_keyword(capsys):
+    """A flag that no search takes would be accepted and then ignored."""
+    with pytest.raises(SystemExit):
+        main(["solve", "--help"])
+    help_text = capsys.readouterr().out
+    signatures = [inspect.signature(s).parameters for s in cli._SEARCHES.values()]
+    parsed = vars(cli.build_parser().parse_args(["solve"]))
+    search_flags = set(parsed) - {"command", "variant", "strategy", "out"}
+    assert search_flags
+    for keyword in search_flags:
+        flag = "--" + keyword.replace("_", "-")
+        defaults = {params[keyword].default for params in signatures if keyword in params}
+        assert len(defaults) == 1, f"{flag}: taken by no search, or by searches that disagree"
+        # help shows the default the signatures give
+        (default,) = defaults
+        entry = re.search(rf"^  {flag} .*?(?=^  -|\Z)", help_text, re.M | re.S).group()
+        assert default is None or re.search(rf"default {default}\b", entry), entry
 
 
 def test_solve_rejects_unknown_strategy(capsys):
@@ -210,7 +257,7 @@ def test_solve_rejects_negative_or_nan_budgets(capsys, argv):
     assert "budget must be >= 0" in err
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("strategy", cli._SEARCHES)
 @pytest.mark.parametrize("variant", ["3D", "3T"])
 def test_solve_refuses_line_length_3(capsys, strategy, variant):
     code, out, err = run(capsys, "solve", "--strategy", strategy, "--variant", variant)

@@ -5,7 +5,9 @@ as regression tripwires; they are properties of (algorithm, seed), not of
 the game.
 """
 
+import concurrent.futures
 import gc
+import os
 
 import pytest
 
@@ -24,7 +26,6 @@ from morpion.potential import MonitorFailure, verify_record
 from morpion.solver import (
     _SYMMETRIES,
     FIVE_D_LINE_BOUND,
-    SearchConfig,
     _SymmetricKeys,
     beam_search,
     check_record_bounds,
@@ -34,7 +35,6 @@ from morpion.solver import (
     playout_sweep,
     random_playout,
     rng_stream,
-    solve,
 )
 
 
@@ -61,6 +61,38 @@ def test_playout_sweep_worker_count_invariance():
     assert lone.best_score == multi.best_score
     assert lone.best_record.moves == multi.best_record.moves
     assert lone.nodes_expanded == multi.nodes_expanded
+
+
+def test_playout_sweep_starts_at_most_one_process_per_cpu(monkeypatch):
+    pools = []
+
+    class SerialPool:
+        """Runs the chunks in this process; starts no worker."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    for workers, playouts, pool in [(10**9, 12, 3), (10**9, 2, 2), (2, 12, 2)]:
+        multi = playout_sweep(FIVE_D, 9, playouts, workers=workers)
+        lone = playout_sweep(FIVE_D, 9, playouts)
+        assert pools == [pool]
+        pools.clear()
+        assert multi.best_record.moves == lone.best_record.moves
+        assert multi.nodes_expanded == lone.nodes_expanded
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="workers"):
+            playout_sweep(FIVE_D, 9, 12, workers=workers)
 
 
 def test_playout_sweep_best_matches_individual_streams():
@@ -436,22 +468,6 @@ def test_symmetric_key_matches_reference_partition(variant):
     assert len(set(states)) == len(new_classes) == len(ref_classes)
     # shallow prefixes of different games coincide up to symmetry
     assert len(ref_classes) < len(states) // 8
-
-
-def test_solve_dispatch_routes_strategies():
-    assert solve(FIVE_D, SearchConfig(seed=1, strategy="random")).best_score == len(
-        random_playout(FIVE_D, 1).moves
-    )
-    assert (
-        solve(FIVE_D, SearchConfig(seed=0, strategy="greedy")).best_score
-        == greedy(FIVE_D, 0).best_score
-    )
-    assert (
-        solve(FIVE_D, SearchConfig(seed=0, strategy="beam", beam_width=8)).best_score
-        == beam_search(FIVE_D, 8, 0).best_score
-    )
-    with pytest.raises(ValueError):
-        solve(FIVE_D, SearchConfig(strategy="oracle"))
 
 
 def test_five_t_playouts_outscore_five_d_on_average():
