@@ -42,7 +42,7 @@ def _random(variant: Variant, seed: int = 0) -> SearchResult:
     """One random playout as a search result; its nodes are the moves played."""
     t0 = time.perf_counter()
     record = random_playout(variant, seed)
-    return SearchResult(record, len(record.moves), len(record.moves), time.perf_counter() - t0)
+    return SearchResult(record, len(record.moves), time.perf_counter() - t0)
 
 
 # each strategy's search; the solve flags it accepts are its keyword parameters

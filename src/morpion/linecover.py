@@ -122,6 +122,11 @@ def verify_layout(layout: Layout) -> tuple[bool, str | None]:
     """Well-formedness plus pairwise same-direction disjointness.
 
     Returns (True, None) or (False, message naming the first offense).
+    Segments on different lattice lines are disjoint, so each segment is
+    compared only with the later ones on its own lattice line.  Along a
+    lattice line anchor order is offset order, so those comparisons stop at
+    the first mate ``alpha`` or more away: it and every later one are
+    disjoint from the segment.
     """
     for d in DIRECTIONS:
         segs = sorted(layout.lines[d])
@@ -130,11 +135,19 @@ def verify_layout(layout: Layout) -> tuple[bool, str | None]:
                 return (False, f"segment {seg} filed under direction {d.name}")
             if seg.length != layout.alpha:
                 return (False, f"segment {seg} has length {seg.length}, expected {layout.alpha}")
-        for i, a in enumerate(segs):
-            for b in segs[i + 1 :]:
-                rel = segment_relation(a, b)
+        mates: dict[int, list[Segment]] = {}
+        for seg in segs:
+            mates.setdefault(seg.key, []).append(seg)
+        passed = dict.fromkeys(mates, 0)
+        for a in segs:
+            line = mates[a.key]
+            # a is the passed[a.key]-th segment of its line, so line[j] is the next
+            passed[a.key] = j = passed[a.key] + 1
+            while j < len(line) and line[j].offset - a.offset < layout.alpha:
+                rel = segment_relation(a, line[j])
                 if rel not in (DISJOINT, DISTINCT_DIRECTION):
-                    return (False, f"same-direction segments {a} and {b} are {rel}")
+                    return (False, f"same-direction segments {a} and {line[j]} are {rel}")
+                j += 1
     return (True, None)
 
 

@@ -41,6 +41,9 @@ LAYOUT_MAGIC = "morpion-layout"
 #: for unbounded memory; an annotated 5D game needs a few thousand.
 _ASCII_CELL_CAP = 1_000_000
 
+#: SVG pixels per lattice unit.
+_SVG_CELL = 24
+
 
 class RecordParseError(ValueError):
     """A record or layout file failed to parse.
@@ -242,12 +245,11 @@ def emit_layout(layout: Layout) -> str:
 class RenderSpec:
     """How to draw a board or layout.
 
-    format: "ascii" or "svg".  cell_size: SVG pixels per lattice unit.
+    format: "ascii" or "svg".
     annotate_moves: number the move crosses by 1-based move index.
     """
 
     format: str = "ascii"
-    cell_size: int = 24
     annotate_moves: bool = False
 
 
@@ -278,7 +280,7 @@ def render(obj, spec: RenderSpec | None = None) -> bytes:
     if spec.format == "ascii":
         return _render_ascii(points, segments)
     if spec.format == "svg":
-        return _render_svg(points, segments, spec.cell_size)
+        return _render_svg(points, segments)
     raise ValueError(f"unknown render format {spec.format!r} (expected ascii or svg)")
 
 
@@ -339,8 +341,9 @@ def _render_ascii(points: dict, segments: list[Segment]) -> bytes:
     return (text + "\n").encode()
 
 
-def _render_svg(points: dict, segments: list[Segment], cell: int) -> bytes:
+def _render_svg(points: dict, segments: list[Segment]) -> bytes:
     """SVG 1.1 subset: line elements (canonical order), then circles, then text."""
+    cell = _SVG_CELL
     out = ['<?xml version="1.0" encoding="UTF-8"?>']
     if not points:
         out.append(f'<svg xmlns="http://www.w3.org/2000/svg" width="{cell}" height="{cell}"></svg>')
@@ -365,7 +368,7 @@ def _render_svg(points: dict, segments: list[Segment], cell: int) -> bytes:
             f'<line x1="{sx(x1)}" y1="{sy(y1)}" x2="{sx(x2)}" y2="{sy(y2)}"'
             f' stroke="#444" stroke-width="2"/>'
         )
-    radius = max(2, cell * 3 // 10)
+    radius = cell * 3 // 10
     for x, y in sorted(points):
         if points[x, y] == "o":
             out.append(f'<circle cx="{sx(x)}" cy="{sy(y)}" r="{radius}" fill="#222"/>')
@@ -378,7 +381,7 @@ def _render_svg(points: dict, segments: list[Segment], cell: int) -> bytes:
         (label, p) for p, label in points.items() if label != "o"
     ):
         out.append(
-            f'<text x="{sx(x)}" y="{sy(y)}" font-size="{max(6, cell // 2)}"'
+            f'<text x="{sx(x)}" y="{sy(y)}" font-size="{cell // 2}"'
             f' font-family="sans-serif" text-anchor="middle"'
             f' dominant-baseline="central">{number}</text>'
         )

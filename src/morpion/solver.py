@@ -5,18 +5,21 @@ named 64-bit generator (PCG64), and parallel playout sweeps give worker i
 the stream ``PCG64(seed).jumped(i)`` so results do not depend on worker
 count.  Budgets are expressed in nodes, which each strategy counts its own
 way: the beam counts the deduplicated candidates of each level it expands,
-NMCS and the exhaustive solver count the moves they apply, and random
-playouts and sweeps count the moves their games play.  Wall-clock budgets
-are honored but a run that stops on time rather than nodes is not guaranteed
-to be reproducible.  A negative node budget, a negative or NaN time budget,
-or line length 3 (3D/3T games can go on without end) raises ``ValueError``.
+NMCS counts each candidate move it tries and each playout move (not the
+moves of the line it then follows), the exhaustive solver counts the moves
+it applies, and random playouts and sweeps count the moves their games
+play.  Wall-clock budgets are honored but a run that stops on time rather
+than nodes is not guaranteed to be reproducible.  A negative node budget, a
+negative or NaN time budget, or line length 3 (3D/3T games can go on without
+end) raises ``ValueError``.
 
-Every record leaving this module passes a bound guard: it must replay
-legally to N plus the initial crosses (36 for 5D/5T, 48 for 6D/6T), with
-cover counts summing to alpha*N for its N lines, and a 5D record longer
-than ``FIVE_D_LINE_BOUND`` (121, the line-counting bound; the potential
-bounds in ``potential.PUBLISHED_BOUNDS`` are all weaker) fails hard since
-that can only mean an engine bug.
+Every record leaving this module from the standard start passes a bound
+guard: it must replay legally to N plus the initial crosses (36 for 5D/5T,
+48 for 6D/6T), with cover counts summing to alpha*N for its N lines, and a
+5D record longer than ``FIVE_D_LINE_BOUND`` (121, the line-counting bound;
+the potential bounds in ``potential.PUBLISHED_BOUNDS`` are all weaker)
+fails hard since that can only mean an engine bug.  ``exhaustive_solve``
+from a given ``board`` returns only the moves after it and skips the guard.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import random
 import time
 from dataclasses import dataclass
 from operator import itemgetter, xor
+from typing import Callable
 
 import numpy as np
 
@@ -39,11 +43,14 @@ DEFAULT_NODE_BUDGET = 10**8
 @dataclass
 class SearchResult:
     best_record: GameRecord
-    best_score: int
     nodes_expanded: int
     wall_time: float
     stopped_reason: str = "complete"  # | "node-budget" | "time-budget" | "stop-score"
     exact: bool = False
+
+    @property
+    def best_score(self) -> int:
+        return len(self.best_record.moves)
 
     @property
     def complete(self) -> bool:
@@ -103,13 +110,14 @@ def record_from_board(board: Board, **metadata: str) -> GameRecord:
 # -- random playouts -------------------------------------------------------
 
 
-def _playout(board: Board, rng: np.random.Generator) -> Board:
-    """Play uniformly random legal moves in place until none remain."""
-    while True:
-        moves = board.legal_moves()
-        if not moves:
-            return board
+def _playout(board: Board, rng: np.random.Generator, tick: Callable | None = None) -> Board:
+    """Play uniformly random legal moves in place until none remain, calling
+    ``tick(board)`` before each."""
+    while moves := board.legal_moves():
+        if tick is not None:
+            tick(board)
         board.apply(moves[int(rng.integers(0, len(moves)))])
+    return board
 
 
 def random_playout(variant: Variant, seed: int) -> GameRecord:
@@ -167,7 +175,7 @@ def playout_sweep(
             )
     else:
         chunks = [_sweep_chunk(variant, seed, 0, playouts)]
-    best_score, best_stream, best_moves, _ = max(chunks, key=lambda c: (c[0], -c[1]))
+    _, best_stream, best_moves, _ = max(chunks, key=lambda c: (c[0], -c[1]))
     record = GameRecord(
         variant,
         best_moves,
@@ -175,7 +183,7 @@ def playout_sweep(
     )
     check_record_bounds(record)
     nodes = sum(c[3] for c in chunks)
-    return SearchResult(record, best_score, nodes, time.perf_counter() - t0)
+    return SearchResult(record, nodes, time.perf_counter() - t0)
 
 
 # -- beam search ------------------------------------------------------------
@@ -231,10 +239,9 @@ def beam_search(
             break
         nodes += len(candidates)
         beam = [beam[bi].copy().apply(m) for _, bi, m in candidates[:width]]
-    best = beam[0]
-    record = record_from_board(best, strategy="beam", seed=str(seed), width=str(width))
+    record = record_from_board(beam[0], strategy="beam", seed=str(seed), width=str(width))
     check_record_bounds(record)
-    return SearchResult(record, best.score, nodes, time.perf_counter() - t0, reason)
+    return SearchResult(record, nodes, time.perf_counter() - t0, reason)
 
 
 def greedy(variant: Variant, seed: int = 0) -> SearchResult:
@@ -265,77 +272,48 @@ class _Nmcs:
         self.best_score = -1
         self.best_moves: list[Move] = []
 
-    def _tick(self) -> None:
-        """Count one move about to be applied, or stop before it."""
+    def tick(self, board: Board) -> None:
+        """Count one move about to be applied to ``board``, or stop before it;
+        until a game finishes, ``board`` is the deepest position reached, so a
+        stop banks it then."""
         if self.nodes >= self.node_budget:
-            raise _Stop("node-budget")
-        if self.deadline is not None and time.perf_counter() > self.deadline:
-            raise _Stop("time-budget")
-        self.nodes += 1
+            reason = "node-budget"
+        elif self.deadline is not None and time.perf_counter() > self.deadline:
+            reason = "time-budget"
+        else:
+            self.nodes += 1
+            return
+        if self.best_score < 0:
+            self._keep_if_best(board)
+        raise _Stop(reason)
 
-    def _keep_if_best(self, board: Board) -> bool:
-        """Bank the board's game if it beats the best so far; return whether it did."""
-        if board.score <= self.best_score:
-            return False
-        self.best_score = board.score
-        self.best_moves = list(board.moves)
-        check_record_bounds(GameRecord(self.variant, self.best_moves), board)
-        return True
+    def _keep_if_best(self, board: Board) -> None:
+        """Bank the board's game if it beats the best so far."""
+        if board.score > self.best_score:
+            self.best_score = board.score
+            self.best_moves = list(board.moves)
+            check_record_bounds(GameRecord(self.variant, self.best_moves), board)
 
-    def _record_if_best(self, board: Board) -> None:
-        if self._keep_if_best(board) and self.stop_score is not None:
-            if self.best_score >= self.stop_score:
-                raise _Stop("stop-score")
-
-    def playout_suffix(self, board: Board) -> tuple[int, list[Move]]:
-        """Random finish from the position; board itself is untouched."""
-        copy = board.copy()
-        depth = len(copy.moves)
-        rng = self.rng
-        try:
-            while True:
-                moves = copy.legal_moves()
-                if not moves:
-                    break
-                self._tick()
-                copy.apply(moves[int(rng.integers(0, len(moves)))])
-        except _Stop:
-            if self.best_score < 0:
-                # no game has finished, so this unfinished playout is the
-                # deepest position the search reached
-                self._keep_if_best(copy)
-            raise
-        self._record_if_best(copy)
-        return copy.score, copy.moves[depth:]
-
-    def nested(self, board: Board, level: int) -> None:
-        """Memorized nested search; advances ``board`` to a terminal position."""
-        best_score = -1
-        suffix: list[Move] = []
-        while True:
-            moves = board.legal_moves()
-            if not moves:
-                self._record_if_best(board)
-                return
-            for m in moves:
-                self._tick()
-                board.apply(m)
-                if level <= 1:
-                    s, cont = self.playout_suffix(board)
-                else:
-                    depth = len(board.moves)
-                    probe = board.copy()
-                    self.nested(probe, level - 1)
-                    s, cont = probe.score, probe.moves[depth:]
-                board.undo()
-                if s > best_score:
-                    best_score = s
-                    suffix = [m] + cont
-            if not suffix:
-                # every continuation was worse than an already-banked line
-                self.playout_suffix(board)
-                return
-            board.apply(suffix.pop(0))
+    def search(self, board: Board, level: int) -> None:
+        """Memorized nested search: advance ``board`` to a terminal position
+        and bank the game there."""
+        if level == 0:
+            _playout(board, self.rng, self.tick)
+        else:
+            line: list[Move] = []
+            while moves := board.legal_moves():
+                depth = len(board.moves)
+                for m in moves:
+                    self.tick(board)
+                    probe = board.copy().apply(m)
+                    self.search(probe, level - 1)
+                    if probe.score > depth + len(line):
+                        line = probe.moves[depth:]
+                board.apply(line.pop(0))
+        self._keep_if_best(board)
+        # every earlier bank was followed by this test or by a stop
+        if self.stop_score is not None and self.best_score >= self.stop_score:
+            raise _Stop("stop-score")
 
 
 def nmcs(
@@ -349,9 +327,13 @@ def nmcs(
     """Nested Monte-Carlo search with memorization.
 
     Level 0 is a bare playout.  At level L, each legal move is evaluated by
-    a level L-1 search and the best line found so far is followed one move,
-    re-searching after every step.  The global best game is kept across the
-    whole run, so the result dominates every playout the search performed.
+    a level L-1 search of a copy of the board, and the best line found so
+    far is followed one move, re-searching after every step.  The global
+    best game is kept across the whole run, so the result dominates every
+    playout the search performed.
+
+    Nodes count each candidate tried and each playout move.  A budget spent
+    before any game ends reports the deepest position reached.
     """
     if level < 0:
         raise ValueError("level must be >= 0")
@@ -359,26 +341,17 @@ def nmcs(
     t0 = time.perf_counter()
     state = _Nmcs(variant, seed, node_budget, time_budget, stop_score)
     reason = "complete"
-    board = Board(variant)
     try:
-        if level == 0:
-            state.playout_suffix(board)
-        else:
-            state.nested(board, level)
+        state.search(Board(variant), level)
     except _Stop as stop:
         reason = stop.reason
-    if state.best_score < 0:
-        # stopped before any playout began: report the position reached
-        state._keep_if_best(board)
     record = GameRecord(
         variant,
         state.best_moves,
         {"strategy": "nmcs", "seed": str(seed), "level": str(level)},
     )
     check_record_bounds(record)
-    return SearchResult(
-        record, state.best_score, state.nodes, time.perf_counter() - t0, reason
-    )
+    return SearchResult(record, state.nodes, time.perf_counter() - t0, reason)
 
 
 # -- exhaustive search ------------------------------------------------------
@@ -564,7 +537,6 @@ def exhaustive_solve(
         check_record_bounds(record)
     return SearchResult(
         record,
-        best_seen,
         nodes,
         time.perf_counter() - t0,
         "node-budget" if budget_hit else "complete",

@@ -12,6 +12,7 @@ import itertools
 import numpy as np
 import pytest
 
+from morpion import geometry, linecover
 from morpion.geometry import DIRECTIONS, Direction, Segment, conflicts, point_at
 from morpion.linecover import (
     ALL_RULES,
@@ -112,6 +113,71 @@ def test_verify_layout_catches_conflicts():
     assert not ok and "filed" in why
     ok, why = verify_layout(Layout.from_segments([Segment(Direction.E, (0, 0), 4)]))
     assert not ok and "length" in why
+
+
+def all_pairs_verify(layout):
+    """Reference check: every same-direction pair through segment_relation."""
+    for d in DIRECTIONS:
+        segs = sorted(layout.lines[d])
+        for seg in segs:
+            if seg.direction != d:
+                return (False, f"segment {seg} filed under direction {d.name}")
+            if seg.length != layout.alpha:
+                return (False, f"segment {seg} has length {seg.length}, expected {layout.alpha}")
+        for i, a in enumerate(segs):
+            for b in segs[i + 1 :]:
+                rel = geometry.segment_relation(a, b)
+                if rel not in (geometry.DISJOINT, geometry.DISTINCT_DIRECTION):
+                    return (False, f"same-direction segments {a} and {b} are {rel}")
+    return (True, None)
+
+
+def test_verify_layout_matches_the_all_pairs_check():
+    rng = np.random.default_rng(13)
+    verdicts = set()
+    for _ in range(3000):
+        alpha = int(rng.integers(3, 7))
+        segments = []
+        for _ in range(int(rng.integers(0, 32))):
+            d = DIRECTIONS[int(rng.integers(0, 4))]
+            anchor = (int(rng.integers(0, 16)), int(rng.integers(0, 16)))
+            # now and then a short line, and a repeated one
+            length = alpha - 1 if rng.random() < 0.02 else alpha
+            segments.append(Segment(d, anchor, length))
+            if rng.random() < 0.05:
+                segments.append(segments[-1])
+        layout = Layout.from_segments(segments, alpha)
+        got = verify_layout(layout)
+        assert got == all_pairs_verify(layout)
+        verdicts.add(got[0])
+    assert verdicts == {True, False}
+
+
+def test_verify_layout_compares_only_nearby_collinear_lines(monkeypatch):
+    """4,000 disjoint lines make no pairwise comparison: 1,000 per direction
+    on distinct lattice lines, or all on one lattice line alpha apart."""
+    calls = []
+
+    def counting_relation(a, b):
+        calls.append((a, b))
+        return geometry.segment_relation(a, b)
+
+    monkeypatch.setattr(linecover, "segment_relation", counting_relation)
+    rng = np.random.default_rng(4)
+    spread = [
+        Segment(d, point_at(d, key, int(rng.integers(-50, 51))), 5)
+        for d in DIRECTIONS
+        for key in range(1000)
+    ]
+    collinear = [Segment(d, point_at(d, 0, 5 * i), 5) for d in DIRECTIONS for i in range(1000)]
+    for segments in (spread, collinear):
+        assert verify_layout(Layout.from_segments(segments)) == (True, None)
+    assert calls == []
+    # a line alpha-1 from its mate is the one pair compared
+    crowded = collinear + [Segment(Direction.E, (4 * 5 + 4, 0), 5)]
+    ok, why = verify_layout(Layout.from_segments(crowded))
+    assert not ok and "touching" in why
+    assert len(calls) == 1
 
 
 def test_coverage_counts_shared_points_once():

@@ -88,6 +88,10 @@ def test_parse_errors_name_line_and_column():
     with pytest.raises(RecordParseError) as err:
         parse_record("morpion-layout v1 alpha=5\n")
     assert "not a record file" in str(err.value)
+    with pytest.raises(RecordParseError) as err:
+        parse_record("morpion-record v1\n")
+    assert "malformed header" in str(err.value)
+    assert err.value.line == 1
 
     bad_variant = good.replace("variant=5D", "variant=9Z")
     with pytest.raises(RecordParseError) as err:
@@ -243,7 +247,7 @@ def test_render_is_deterministic():
         RenderSpec(),
         RenderSpec(annotate_moves=True),
         RenderSpec(format="svg"),
-        RenderSpec(format="svg", cell_size=10, annotate_moves=True),
+        RenderSpec(format="svg", annotate_moves=True),
     ):
         assert render(record, spec) == render(record, spec)
 

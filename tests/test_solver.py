@@ -25,6 +25,7 @@ from morpion.linecover import ALL_RULES, infeasibility_scan
 from morpion.potential import MonitorFailure, verify_record
 from morpion.solver import (
     _SYMMETRIES,
+    DEFAULT_NODE_BUDGET,
     FIVE_D_LINE_BOUND,
     _SymmetricKeys,
     beam_search,
@@ -170,12 +171,29 @@ def test_nmcs_node_budget_flags_truncation():
     assert_well_formed(r.best_record)
 
 
-@pytest.mark.parametrize("level, budget", [(0, 5), (1, 0), (1, 1), (1, 7), (2, 1)])
+@pytest.mark.parametrize(
+    "variant, budget, score, nodes, reason",
+    [
+        (SIX_D, DEFAULT_NODE_BUDGET, 12, 69_368, "complete"),  # the proven 6D optimum
+        (FIVE_D, 50_000, 62, 50_000, "node-budget"),
+    ],
+    ids=["6D", "5D-budget"],
+)
+def test_nmcs_level2_pins(variant, budget, score, nodes, reason):
+    """Level 2 follows the lines its level-1 probes return; pinned on seed 0."""
+    r = nmcs(variant, 2, 0, node_budget=budget)
+    assert (r.best_score, r.nodes_expanded, r.stopped_reason) == (score, nodes, reason)
+    assert_well_formed(r.best_record)
+
+
+@pytest.mark.parametrize(
+    "level, budget", [(0, 5), (1, 0), (1, 1), (1, 7), (2, 1), (3, 2), (4, 3)]
+)
 def test_nmcs_budget_spent_before_any_game_ends_reports_the_position_reached(level, budget):
     r = nmcs(FIVE_D, level, 0, node_budget=budget)
     assert r.stopped_reason == "node-budget"
     assert r.nodes_expanded == budget
-    # every counted move was applied on the way down the first playout
+    # every counted move was applied on the way down to the first game end
     assert r.best_score == len(r.best_record.moves) == budget
     assert_well_formed(r.best_record)
 
