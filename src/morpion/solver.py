@@ -3,15 +3,17 @@
 Everything here is deterministic given its seed: randomness comes from a
 named 64-bit generator (PCG64), and parallel playout sweeps give worker i
 the stream ``PCG64(seed).jumped(i)`` so results do not depend on worker
-count.  Budgets are expressed in nodes, which each strategy counts its own
-way: the beam counts the deduplicated candidates of each level it expands,
-NMCS counts each candidate move it tries and each playout move (not the
-moves of the line it then follows), the exhaustive solver counts the moves
-it applies, and random playouts and sweeps count the moves their games
-play.  Wall-clock budgets are honored but a run that stops on time rather
-than nodes is not guaranteed to be reproducible.  A negative node budget, a
-negative or NaN time budget, or line length 3 (3D/3T games can go on without
-end) raises ``ValueError``.
+count.  Budgets are expressed in nodes.  A node is one (position, move)
+pair a search examines, which each strategy meets its own way: the beam
+counts the deduplicated candidates of each level it expands, NMCS counts
+each candidate move it tries and each playout move (not the moves of the
+line it then follows), the exhaustive solver counts each child it examines,
+whether its transposition table answers it or the move is applied, and
+random playouts and sweeps count the moves their games play.  Wall-clock
+budgets are honored but a run that stops on time rather than nodes is not
+guaranteed to be reproducible.  A negative node budget, a negative or NaN
+time budget, or line length 3 (3D/3T games can go on without end) raises
+``ValueError``.
 
 Every record leaving this module from the standard start passes a bound
 guard: it must replay legally to N plus the initial crosses (36 for 5D/5T,
@@ -364,8 +366,8 @@ _SYMMETRIES = (
 
 _ZOBRIST_SEED = 0x6D6F7270696F6E  # fixed, so node counts repeat run to run
 
-# (line images, hash delta), one entry per frame in each
-_MoveImages = tuple[tuple[tuple[Point, Point], ...], tuple[int, ...]]
+# (line ids, hash delta), one entry per frame in each
+_MoveImages = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 class _SymmetricKeys:
@@ -381,18 +383,21 @@ class _SymmetricKeys:
     bounding box so the symmetry centre stays integral; a line's image is
     the sorted pair of its end points' images.
 
-    Each symmetry is a frame, and a state carries one 64-bit Zobrist hash
-    per frame: the XOR of a random word for each line image in that frame.
+    Each line image is interned as a small int, its id, the first time it is
+    seen; ``ids`` maps an image to its id and ``words[id]`` is its random
+    64-bit Zobrist word.  Each symmetry is a frame, and a state carries one
+    hash per frame: the XOR of the words of its line images in that frame.
     A move XORs its cached per-frame delta into the parent's hashes, so a
     child costs one update per frame and undo costs nothing.
 
-    The key is ``(h, lines)``: ``h`` is the smallest frame hash, and
-    ``lines`` are the sorted images of the state's lines in the first frame
-    that reaches it.  Equal keys mean the two states have equal images under
-    some pair of symmetries, so a merge is never wrong.  States related by a
-    symmetry have the same frame hashes in another order, so they share
-    ``h``; a 64-bit collision between two different images can only make
-    them pick different frames and miss a merge.
+    The key is ``(h, ids)``: ``h`` is the smallest frame hash, and ``ids``
+    are the sorted ids of the state's line images in the first frame that
+    reaches it.  Ids are one-to-one with images, so equal keys mean the two
+    states have equal images under some pair of symmetries, and a merge is
+    never wrong.  States related by a symmetry have the same frame hashes in
+    another order, so they share ``h``; a 64-bit collision between two
+    different images can only make them pick different frames and miss a
+    merge.
     """
 
     def __init__(self, board: Board):
@@ -407,28 +412,30 @@ class _SymmetricKeys:
         ]
         self.span = board.variant.alpha - 1
         self.rng = random.Random(_ZOBRIST_SEED)
-        self.words: dict[tuple[Point, Point], int] = {}
+        self.ids: dict[tuple[Point, Point], int] = {}
+        self.words: list[int] = []
         self.moves: dict[Move, _MoveImages] = {}
 
     def _images(self, p: Point) -> tuple[Point, ...]:
         u, v = 2 * p[0] - self.cx, 2 * p[1] - self.cy
         return tuple((a * u + b * v, c * u + d * v) for a, b, c, d in self.group)
 
-    def _word(self, line: tuple[Point, Point]) -> int:
-        word = self.words.get(line)
-        if word is None:
-            word = self.words[line] = self.rng.getrandbits(64)
-        return word
+    def _id(self, line: tuple[Point, Point]) -> int:
+        i = self.ids.get(line)
+        if i is None:
+            i = self.ids[line] = len(self.words)
+            self.words.append(self.rng.getrandbits(64))
+        return i
 
     def move(self, move: Move) -> _MoveImages:
-        """Per-frame images of the move's line, and its hash delta."""
+        """Per-frame ids of the move's line images, and its hash delta."""
         out = self.moves.get(move)
         if out is None:
             (x, y), (sx, sy) = move.anchor, move.direction.step
             head = self._images(move.anchor)
             tail = self._images((x + self.span * sx, y + self.span * sy))
-            lines = tuple((a, b) if a < b else (b, a) for a, b in zip(head, tail))
-            out = self.moves[move] = (lines, tuple(map(self._word, lines)))
+            ids = tuple(self._id((a, b) if a < b else (b, a)) for a, b in zip(head, tail))
+            out = self.moves[move] = (ids, tuple(map(self.words.__getitem__, ids)))
         return out
 
     def hashes(self, moves: list[Move]) -> tuple[int, ...]:
@@ -439,12 +446,12 @@ class _SymmetricKeys:
         return hashes
 
     def key(self, hashes: tuple[int, ...], moves: list[Move]) -> tuple:
-        """Key of the state with these frame hashes; reads each move's
-        images from the cache :meth:`move` and :meth:`hashes` fill."""
+        """Key of the state with these frame hashes; reads each move's ids
+        from the cache :meth:`move` and :meth:`hashes` fill."""
         h = min(hashes)
         frame = hashes.index(h)
-        images = self.moves
-        return (h, tuple(sorted([images[m][0][frame] for m in moves])))
+        cached = self.moves
+        return (h, tuple(sorted([cached[m][0][frame] for m in moves])))
 
 
 def exhaustive_solve(
@@ -463,8 +470,14 @@ def exhaustive_solve(
     merge is never wrong; a 64-bit hash collision can only miss a merge,
     which would show as a larger node count and never as a different value.
     The table stores the exact number of further moves available from each
-    state.  Without transpositions this is a plain DFS, kept as the
-    reference to test the merging against.
+    state.  Each child is looked up before it is applied: a hit is taken
+    from the table without an ``apply`` or ``undo``, and only a miss is
+    applied and searched.  Without transpositions this is a plain DFS, kept
+    as the reference to test the merging against.
+
+    A node is one (position, move) pair examined, a table hit included;
+    only the misses among them are applied.  The budget is tested before
+    each node is counted.
 
     The reported line is the first the DFS reaches at its greatest depth.
     Moves are tried in canonical order, and a state is skipped only when a
@@ -493,34 +506,36 @@ def exhaustive_solve(
     best_moves: list[Move] = []
     root_depth = board.score
 
-    def dfs(hashes: tuple[int, ...]) -> int:
+    def dfs(hashes: tuple[int, ...], key: tuple | None) -> int:
+        """Value of the board's state, entered through a table miss."""
         nonlocal nodes, budget_hit, best_seen, best_moves
-        key = keys.key(hashes, board.moves) if use_transpositions else None
-        if key is not None:
-            hit = table.get(key)
-            if hit is not None:
-                return hit
         if board.score - root_depth > best_seen:
             best_seen = board.score - root_depth
             best_moves = board.moves[root_depth:]
         value = 0
         for move in board.legal_moves():
             # tested before counting, so that once the budget is spent each
-            # ancestor stops without counting a move it will not apply
+            # ancestor stops without counting a move it will not examine
             if nodes >= node_budget:
                 budget_hit = True
                 break
             nodes += 1
-            board.apply(move)
-            child = 1 + dfs(tuple(map(xor, hashes, keys.move(move)[1])))
-            if child > value:
-                value = child
-            board.undo()
+            child = tuple(map(xor, hashes, keys.move(move)[1]))
+            child_key = keys.key(child, board.moves + [move]) if use_transpositions else None
+            # the table stays empty without transpositions, so a None key misses
+            rest = table.get(child_key)
+            if rest is None:
+                board.apply(move)
+                rest = dfs(child, child_key)
+                board.undo()
+            if rest >= value:
+                value = rest + 1
         if key is not None and not budget_hit:
             table[key] = value
         return value
 
-    value = dfs(keys.hashes(board.moves))
+    hashes = keys.hashes(board.moves)
+    value = dfs(hashes, keys.key(hashes, board.moves) if use_transpositions else None)
     # dfs refers to itself through its closure cell; breaking that cycle
     # frees the table now instead of at the next cyclic collection
     dfs = None  # type: ignore[assignment]

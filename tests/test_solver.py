@@ -7,7 +7,9 @@ the game.
 
 import concurrent.futures
 import gc
+import hashlib
 import os
+from operator import xor
 
 import pytest
 
@@ -358,6 +360,79 @@ def test_exhaustive_agrees_with_plain_dfs_on_symmetric_starts(variant):
         board.apply(mv)
     assert board.score - start.score == merged.best_score
     assert not board.has_legal_moves()
+
+
+@pytest.mark.parametrize("variant", [SIX_D, SIX_T], ids=["6D", "6T"])
+def test_exhaustive_probes_before_applying(variant, monkeypatch):
+    start = seeded_prefix(variant, 3, 7)
+    applied = 0
+    apply = Board.apply
+
+    def counting_apply(self, move):
+        nonlocal applied
+        applied += 1
+        return apply(self, move)
+
+    monkeypatch.setattr(Board, "apply", counting_apply)
+    merged = exhaustive_solve(variant, board=start)
+    # a table hit is a node but no apply: one apply per state expanded
+    # below the root
+    assert (merged.nodes_expanded, applied) == (810, 242)
+    applied = 0
+    plain = exhaustive_solve(variant, board=start, use_transpositions=False)
+    assert (plain.nodes_expanded, applied) == (6330, 6330)
+
+
+@pytest.mark.parametrize("variant", [FIVE_D, SIX_D], ids=["5D", "6D"])
+def test_probe_key_equals_entry_key(variant):
+    # the key a child is probed with, before its move is applied, is the
+    # key of the state the move reaches
+    for seed in range(3):
+        for length in (0, 1, 5, 12):
+            board = seeded_prefix(variant, seed, length)
+            keys = _SymmetricKeys(board)
+            hashes = keys.hashes(board.moves)
+            for m in board.legal_moves():
+                child = tuple(map(xor, hashes, keys.move(m)[1]))
+                probe = keys.key(child, board.moves + [m])
+                board.apply(m)
+                assert probe == keys.key(keys.hashes(board.moves), board.moves)
+                board.undo()
+
+
+# (best_score, nodes_expanded, stopped_reason, exact) for each budget,
+# identical for 6D and 6T, and a digest of the reported lines
+BUDGETS = (0, 1, 2, 7, 100, 500, 5000, 50000)
+BUDGET_RUNS = {
+    0: (
+        [(0, 0, "node-budget", False), (1, 1, "node-budget", False),
+         (2, 2, "node-budget", False), (7, 7, "node-budget", False)]
+        + [(12, budget, "node-budget", False) for budget in BUDGETS[4:]],
+        "aa394069fbbf874796d0825a0eec9235592fe2aaa6796a2048d0b89450e72124",
+    ),
+    7: (
+        [(0, 0, "node-budget", False), (1, 1, "node-budget", False),
+         (2, 2, "node-budget", False)]
+        + [(5, budget, "node-budget", False) for budget in (7, 100, 500)]
+        + [(5, 810, "complete", True)] * 2,
+        "a1632dc371e9add177c07785a384dcc2949d88d0fba4c2ed543531903b47dbca",
+    ),
+}
+
+
+@pytest.mark.parametrize("prefix", [0, 7])
+@pytest.mark.parametrize("variant", [SIX_D, SIX_T], ids=["6D", "6T"])
+def test_exhaustive_budget_runs_are_pinned(variant, prefix):
+    # a table hit is a node tested against the budget like any other, so
+    # where a budget stops the search does not depend on the probe
+    runs, lines = [], []
+    for budget in BUDGETS:
+        r = exhaustive_solve(variant, budget, seeded_prefix(variant, 3, prefix))
+        runs.append((r.best_score, r.nodes_expanded, r.stopped_reason, r.exact))
+        lines.append([(m.cross, int(m.direction), m.anchor) for m in r.best_record.moves])
+    expected_runs, digest = BUDGET_RUNS[prefix]
+    assert runs == expected_runs
+    assert hashlib.sha256(repr(lines).encode()).hexdigest() == digest
 
 
 def test_exhaustive_rejects_a_board_of_another_variant():
