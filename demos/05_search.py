@@ -6,7 +6,7 @@ Four harnesses of increasing strength: random playouts, a jittered
 greedy line, beam search over a seeded random ranking, and nested
 Monte-Carlo search.  Everything is seeded; rerunning the script
 reproduces the same scores.  Pass --exact to also solve the length-6
-variants to optimality (about 4–5 s each on a shared two-core VM).
+variants to optimality (about 2.3 s each on a shared two-core VM).
 """
 
 import sys

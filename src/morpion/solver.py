@@ -11,8 +11,8 @@ line it then follows), the exhaustive solver counts each child it examines,
 whether its transposition table answers it or the move is applied, and
 random playouts and sweeps count the moves their games play.  Wall-clock
 budgets are honored but a run that stops on time rather than nodes is not
-guaranteed to be reproducible.  A negative node budget, a negative or NaN
-time budget, or line length 3 (3D/3T games can go on without end) raises
+guaranteed to be reproducible.  A negative or NaN node or time budget, or
+line length 3 (3D/3T games can go on without end) raises
 ``ValueError``.
 
 Every record leaving this module from the standard start passes a bound
@@ -27,10 +27,9 @@ from a given ``board`` returns only the moves after it and skips the guard.
 from __future__ import annotations
 
 import os
-import random
 import time
 from dataclasses import dataclass
-from operator import itemgetter, xor
+from operator import itemgetter, or_
 from typing import Callable
 
 import numpy as np
@@ -62,9 +61,10 @@ class SearchResult:
 def _check_search(variant: Variant, node_budget: int = 0, time_budget: float | None = None) -> None:
     if variant.alpha == 3:
         raise ValueError(f"{variant.name} games can go on without end, so no search finishes")
-    if node_budget < 0:
+    # written so that NaN fails too: no count or clock reading ever passes a
+    # NaN budget
+    if not node_budget >= 0:
         raise ValueError("node budget must be >= 0")
-    # written so that NaN fails too: no clock reading ever passes a NaN deadline
     if time_budget is not None and not time_budget >= 0:
         raise ValueError("time budget must be >= 0")
 
@@ -364,12 +364,6 @@ _SYMMETRIES = (
     (0, 1, 1, 0), (-1, 0, 0, 1), (1, 0, 0, -1), (0, -1, -1, 0),
 )
 
-_ZOBRIST_SEED = 0x6D6F7270696F6E  # fixed, so node counts repeat run to run
-
-# (line ids, hash delta), one entry per frame in each
-_MoveImages = tuple[tuple[int, ...], tuple[int, ...]]
-
-
 class _SymmetricKeys:
     """Transposition keys for the states reached from one board.
 
@@ -384,26 +378,27 @@ class _SymmetricKeys:
     the sorted pair of its end points' images.
 
     Each line image is interned as a small int, its id, the first time it is
-    seen; ``ids`` maps an image to its id and ``words[id]`` is its random
-    64-bit Zobrist word.  Each symmetry is a frame, and a state carries one
-    hash per frame: the XOR of the words of its line images in that frame.
-    A move XORs its cached per-frame delta into the parent's hashes, so a
-    child costs one update per frame and undo costs nothing.
+    seen, and ``ids`` maps an image to its id.  Each symmetry is a frame, and
+    a state carries one int mask per frame: bit ``id`` is set for each of its
+    line images in that frame.  A child's masks are its parent's ORed with
+    the move's cached per-frame bits, so a child costs one OR per frame and
+    undo costs nothing.
 
-    The key is ``(h, ids)``: ``h`` is the smallest frame hash, and ``ids``
-    are the sorted ids of the state's line images in the first frame that
-    reaches it.  Ids are one-to-one with images, so equal keys mean the two
-    states have equal images under some pair of symmetries, and a merge is
-    never wrong.  States related by a symmetry have the same frame hashes in
-    another order, so they share ``h``; a 64-bit collision between two
-    different images can only make them pick different frames and miss a
-    merge.
+    The key is the least frame mask.  The symmetries form a group, so
+    applying one to a state only permutes its frame masks (the mask of
+    ``σS`` in frame ``f`` is the mask of ``S`` in frame ``f∘σ``): states in
+    one symmetry class share their least mask.  Conversely ids are
+    one-to-one with images, so equal least masks mean that some frame maps
+    one state onto the other's image in some frame, which makes them
+    symmetric.  The key is exact: states share it exactly when they are
+    symmetric.
     """
 
     def __init__(self, board: Board):
         init = board.initial
-        self.cx = min(x for x, _ in init) + max(x for x, _ in init)
-        self.cy = min(y for _, y in init) + max(y for _, y in init)
+        # an empty start has no moves, so any centre will do
+        xs, ys = [x for x, _ in init] or [0], [y for _, y in init] or [0]
+        self.cx, self.cy = min(xs) + max(xs), min(ys) + max(ys)
         doubled = {(2 * x - self.cx, 2 * y - self.cy) for x, y in init}
         self.group = [
             m
@@ -411,47 +406,33 @@ class _SymmetricKeys:
             if {(m[0] * u + m[1] * v, m[2] * u + m[3] * v) for u, v in doubled} == doubled
         ]
         self.span = board.variant.alpha - 1
-        self.rng = random.Random(_ZOBRIST_SEED)
         self.ids: dict[tuple[Point, Point], int] = {}
-        self.words: list[int] = []
-        self.moves: dict[Move, _MoveImages] = {}
+        self.moves: dict[Move, tuple[int, ...]] = {}
 
     def _images(self, p: Point) -> tuple[Point, ...]:
         u, v = 2 * p[0] - self.cx, 2 * p[1] - self.cy
         return tuple((a * u + b * v, c * u + d * v) for a, b, c, d in self.group)
 
-    def _id(self, line: tuple[Point, Point]) -> int:
-        i = self.ids.get(line)
-        if i is None:
-            i = self.ids[line] = len(self.words)
-            self.words.append(self.rng.getrandbits(64))
-        return i
-
-    def move(self, move: Move) -> _MoveImages:
-        """Per-frame ids of the move's line images, and its hash delta."""
+    def move(self, move: Move) -> tuple[int, ...]:
+        """The bit of the move's line image in each frame."""
         out = self.moves.get(move)
         if out is None:
             (x, y), (sx, sy) = move.anchor, move.direction.step
             head = self._images(move.anchor)
             tail = self._images((x + self.span * sx, y + self.span * sy))
-            ids = tuple(self._id((a, b) if a < b else (b, a)) for a, b in zip(head, tail))
-            out = self.moves[move] = (ids, tuple(map(self.words.__getitem__, ids)))
+            ids = self.ids
+            out = self.moves[move] = tuple(
+                1 << ids.setdefault(line, len(ids))
+                for line in ((a, b) if a < b else (b, a) for a, b in zip(head, tail))
+            )
         return out
 
-    def hashes(self, moves: list[Move]) -> tuple[int, ...]:
-        """Frame hashes of the state ``moves`` reach, from scratch."""
-        hashes = (0,) * len(self.group)
+    def masks(self, moves: list[Move]) -> tuple[int, ...]:
+        """Frame masks of the state ``moves`` reach; its key is their least."""
+        masks = (0,) * len(self.group)
         for m in moves:
-            hashes = tuple(map(xor, hashes, self.move(m)[1]))
-        return hashes
-
-    def key(self, hashes: tuple[int, ...], moves: list[Move]) -> tuple:
-        """Key of the state with these frame hashes; reads each move's ids
-        from the cache :meth:`move` and :meth:`hashes` fill."""
-        h = min(hashes)
-        frame = hashes.index(h)
-        cached = self.moves
-        return (h, tuple(sorted([cached[m][0][frame] for m in moves])))
+            masks = tuple(map(or_, masks, self.move(m)))
+        return masks
 
 
 def exhaustive_solve(
@@ -465,15 +446,15 @@ def exhaustive_solve(
     With ``use_transpositions`` (the default) states are merged through the
     :class:`_SymmetricKeys` key: the same lines (which fix the crosses,
     each move's cross lying on its own line) reached by another move order,
-    or related by a symmetry of the initial crosses.  Merged states have
-    equal images under some pair of symmetries, hence the same value, so a
-    merge is never wrong; a 64-bit hash collision can only miss a merge,
-    which would show as a larger node count and never as a different value.
+    or related by a symmetry of the initial crosses.  The key is the least
+    of a state's per-frame line-image masks; a symmetry only permutes those
+    masks, and equal least masks mean equal images, so states share a key
+    exactly when they are symmetric, and merged states have the same value.
     The table stores the exact number of further moves available from each
     state.  Each child is looked up before it is applied: a hit is taken
     from the table without an ``apply`` or ``undo``, and only a miss is
-    applied and searched.  Without transpositions this is a plain DFS, kept
-    as the reference to test the merging against.
+    applied and searched.  Without transpositions this is a plain DFS that
+    builds no key, kept as the reference to test the merging against.
 
     A node is one (position, move) pair examined, a table hit included;
     only the misses among them are applied.  The budget is tested before
@@ -498,15 +479,15 @@ def exhaustive_solve(
         raise ValueError(f"board is {board.variant.name}, not {variant.name}")
     else:
         board = board.copy()
-    keys = _SymmetricKeys(board)
-    table: dict[tuple, int] = {}
+    keys = _SymmetricKeys(board) if use_transpositions else None
+    table: dict[int, int] = {}
     nodes = 0
     budget_hit = False
     best_seen = 0
     best_moves: list[Move] = []
     root_depth = board.score
 
-    def dfs(hashes: tuple[int, ...], key: tuple | None) -> int:
+    def dfs(masks: tuple[int, ...] | None, key: int | None) -> int:
         """Value of the board's state, entered through a table miss."""
         nonlocal nodes, budget_hit, best_seen, best_moves
         if board.score - root_depth > best_seen:
@@ -520,10 +501,12 @@ def exhaustive_solve(
                 budget_hit = True
                 break
             nodes += 1
-            child = tuple(map(xor, hashes, keys.move(move)[1]))
-            child_key = keys.key(child, board.moves + [move]) if use_transpositions else None
-            # the table stays empty without transpositions, so a None key misses
-            rest = table.get(child_key)
+            if keys is None:
+                child = child_key = rest = None
+            else:
+                child = tuple(map(or_, masks, keys.move(move)))
+                child_key = min(child)
+                rest = table.get(child_key)
             if rest is None:
                 board.apply(move)
                 rest = dfs(child, child_key)
@@ -534,8 +517,11 @@ def exhaustive_solve(
             table[key] = value
         return value
 
-    hashes = keys.hashes(board.moves)
-    value = dfs(hashes, keys.key(hashes, board.moves) if use_transpositions else None)
+    if keys is None:
+        value = dfs(None, None)
+    else:
+        masks = keys.masks(board.moves)
+        value = dfs(masks, min(masks))
     # dfs refers to itself through its closure cell; breaking that cycle
     # frees the table now instead of at the next cyclic collection
     dfs = None  # type: ignore[assignment]

@@ -9,7 +9,7 @@ import concurrent.futures
 import gc
 import hashlib
 import os
-from operator import xor
+from operator import or_
 
 import pytest
 
@@ -240,14 +240,18 @@ def test_beam_node_budget_flags_truncation():
     "search",
     [
         lambda: nmcs(FIVE_D, 1, 0, node_budget=-5),
+        lambda: nmcs(FIVE_D, 1, 0, node_budget=float("nan")),
         lambda: nmcs(FIVE_D, 1, 0, time_budget=float("nan")),
         lambda: nmcs(FIVE_D, 1, 0, time_budget=-1.0),
         lambda: beam_search(FIVE_D, 4, 0, node_budget=-1),
+        lambda: beam_search(FIVE_D, 4, 0, node_budget=float("nan")),
         lambda: exhaustive_solve(SIX_D, node_budget=-1),
+        lambda: exhaustive_solve(SIX_D, node_budget=float("nan")),
     ],
 )
 def test_negative_or_nan_budgets_are_rejected(search):
-    # a NaN deadline never passes, so it would run unbounded
+    # no count or clock reading ever passes a NaN budget, so it would run
+    # unbounded
     with pytest.raises(ValueError, match="budget must be >= 0"):
         search()
 
@@ -311,6 +315,12 @@ def test_exhaustive_agrees_with_plain_dfs_on_synthetic_boards():
         for mv in merged.best_record.moves:
             board.apply(mv)
         assert board.score == merged.best_score
+
+
+def test_exhaustive_solves_an_empty_board():
+    # no crosses, so no moves: the value is 0, exactly
+    r = exhaustive_solve(SIX_D, board=Board(SIX_D, []))
+    assert (r.best_score, r.nodes_expanded, r.exact, r.complete) == (0, 0, True, True)
 
 
 def test_exhaustive_reports_budget_truncation():
@@ -391,12 +401,13 @@ def test_probe_key_equals_entry_key(variant):
         for length in (0, 1, 5, 12):
             board = seeded_prefix(variant, seed, length)
             keys = _SymmetricKeys(board)
-            hashes = keys.hashes(board.moves)
+            masks = keys.masks(board.moves)
+            # one bit per line: a frame maps distinct lines to distinct images
+            assert bin(min(masks)).count("1") == board.score
             for m in board.legal_moves():
-                child = tuple(map(xor, hashes, keys.move(m)[1]))
-                probe = keys.key(child, board.moves + [m])
+                probe = min(map(or_, masks, keys.move(m)))
                 board.apply(m)
-                assert probe == keys.key(keys.hashes(board.moves), board.moves)
+                assert probe == min(keys.masks(board.moves))
                 board.undo()
 
 
@@ -551,7 +562,7 @@ def test_symmetric_key_matches_reference_partition(variant):
                 board = start.copy()
                 for mv in symmetric_image(start, sym, game[:depth]):
                     board.apply(mv)  # the start is symmetric: every image is legal
-                new_key = keys.key(keys.hashes(board.moves), board.moves)
+                new_key = min(keys.masks(board.moves))
                 new_keys.add(new_key)
                 states.append((new_key, reference(board)))
             assert len(new_keys) == 1, "the key must not depend on the frame"
