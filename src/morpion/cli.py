@@ -19,7 +19,6 @@ from .geometry import ConfigurationError, Variant
 from .linecover import (
     ALL_RULES,
     LayoutError,
-    infeasibility_scan,
     packing_search,
     scan_table,
 )
@@ -158,15 +157,15 @@ def _parse_rules(text: str) -> frozenset:
 
 def _cmd_scan(args) -> int:
     rules = _parse_rules(args.rules)
+    rows = scan_table(rules, args.max_n)
     print("   N  rule           c'(N)   N+36  feasible")
-    for row in scan_table(rules, args.max_n):
-        n, rule, lower, budget, feasible = row
+    for n, rule, lower, budget, feasible in rows:
         print(f"{n:>4}  {rule:<13} {lower:>6}  {budget:>5}  {'yes' if feasible else 'NO'}")
-    first = infeasibility_scan(rules, args.max_n)
-    if first is None:
+    n, *_, feasible = rows[-1]
+    if feasible:
         print(f"no infeasible N <= {args.max_n}")
     else:
-        print(f"first infeasible N={first + 1}; upper bound {first}")
+        print(f"first infeasible N={n}; upper bound {n - 1}")
     return 0
 
 

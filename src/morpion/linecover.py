@@ -1,10 +1,12 @@
 """Counting arguments over line layouts.
 
-A layout is a bag of length-5 segments, same-direction ones pairwise
-disjoint, with no crosses attached.  Any game that reaches N moves has drawn
-N such lines covering at most N+36 lattice points, so a lower bound c'(N) on
-the points that ANY N valid lines must cover yields a score bound: the first
-N with c'(N) > N + 36 is unreachable, and N-1 bounds the score.
+A layout is a bag of same-length segments, same-direction ones pairwise
+disjoint, with no moves or crosses attached: :class:`Layout` holds them as one
+tuple in canonical ``(direction, anchor)`` order.  Any game that reaches N
+moves has drawn N such lines covering at most N+36 lattice points, so a lower
+bound c'(N) on the points that ANY N valid lines must cover yields a score
+bound: the first N with c'(N) > N + 36 is unreachable, and N-1 bounds the
+score.
 
 The layout searches test disjointness with the engine's D-rule test,
 :func:`~morpion.geometry.conflicts`; :func:`verify_layout` keeps the pairwise
@@ -74,52 +76,44 @@ RULE_REMARK = "remark"
 ALL_RULES = frozenset((RULE_A, RULE_B, RULE_REMARK))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Layout:
-    """Per-direction segment collections, all of one length."""
+    """A bag of lines, all of length ``alpha``: an immutable ``(alpha, lines)`` pair.
+
+    ``lines`` is one tuple in canonical ``(direction, anchor)`` order, which
+    construction sets however the lines are given, so two layouts of the
+    same lines are equal; a line of another length raises
+    :class:`LayoutError` there.  :func:`verify_layout` checks that
+    same-direction lines are disjoint.
+    """
 
     alpha: int = 5
-    lines: dict[Direction, tuple[Segment, ...]] = None  # type: ignore[assignment]
+    lines: tuple[Segment, ...] = ()
 
     def __post_init__(self):
-        if self.lines is None:
-            self.lines = {d: () for d in DIRECTIONS}
-        else:
-            for d in DIRECTIONS:
-                self.lines.setdefault(d, ())
+        lines = tuple(sorted(self.lines))
+        for seg in lines:
+            if seg.length != self.alpha:
+                raise LayoutError(f"segment {seg} has length {seg.length}, expected {self.alpha}")
+        object.__setattr__(self, "lines", lines)
 
     @classmethod
     def from_segments(cls, segments: Iterable[Segment], alpha: int = 5) -> "Layout":
-        slots: dict[Direction, list[Segment]] = {d: [] for d in DIRECTIONS}
-        for seg in segments:
-            slots[seg.direction].append(seg)
-        return cls(alpha, {d: tuple(sorted(slots[d])) for d in DIRECTIONS})
-
-    def segments(self) -> list[Segment]:
-        """All segments, canonically sorted by (direction, anchor)."""
-        out: list[Segment] = []
-        for d in DIRECTIONS:
-            out.extend(sorted(self.lines[d]))
-        return out
+        return cls(alpha, tuple(segments))
 
     @property
     def line_count(self) -> int:
-        return sum(len(self.lines[d]) for d in DIRECTIONS)
+        return len(self.lines)
 
     def points(self) -> set[Point]:
         covered: set[Point] = set()
-        for d in DIRECTIONS:
-            for seg in self.lines[d]:
-                covered.update(seg.points())
+        for seg in self.lines:
+            covered.update(seg.points())
         return covered
-
-    def canonical_key(self) -> tuple:
-        """Deterministic tie-break identity: the sorted segment list."""
-        return tuple((s.direction, s.anchor) for s in self.segments())
 
 
 def verify_layout(layout: Layout) -> tuple[bool, str | None]:
-    """Well-formedness plus pairwise same-direction disjointness.
+    """Pairwise same-direction disjointness.
 
     Returns (True, None) or (False, message naming the first offense).
     Segments on different lattice lines are disjoint, so each segment is
@@ -128,26 +122,20 @@ def verify_layout(layout: Layout) -> tuple[bool, str | None]:
     the first mate ``alpha`` or more away: it and every later one are
     disjoint from the segment.
     """
-    for d in DIRECTIONS:
-        segs = sorted(layout.lines[d])
-        for seg in segs:
-            if seg.direction != d:
-                return (False, f"segment {seg} filed under direction {d.name}")
-            if seg.length != layout.alpha:
-                return (False, f"segment {seg} has length {seg.length}, expected {layout.alpha}")
-        mates: dict[int, list[Segment]] = {}
-        for seg in segs:
-            mates.setdefault(seg.key, []).append(seg)
-        passed = dict.fromkeys(mates, 0)
-        for a in segs:
-            line = mates[a.key]
-            # a is the passed[a.key]-th segment of its line, so line[j] is the next
-            passed[a.key] = j = passed[a.key] + 1
-            while j < len(line) and line[j].offset - a.offset < layout.alpha:
-                rel = segment_relation(a, line[j])
-                if rel not in (DISJOINT, DISTINCT_DIRECTION):
-                    return (False, f"same-direction segments {a} and {line[j]} are {rel}")
-                j += 1
+    mates: dict[tuple[Direction, int], list[Segment]] = {}
+    for seg in layout.lines:
+        mates.setdefault((seg.direction, seg.key), []).append(seg)
+    passed = dict.fromkeys(mates, 0)
+    for a in layout.lines:
+        line_id = (a.direction, a.key)
+        line = mates[line_id]
+        # a is the passed[line_id]-th segment of its line, so line[j] is the next
+        passed[line_id] = j = passed[line_id] + 1
+        while j < len(line) and line[j].offset - a.offset < layout.alpha:
+            rel = segment_relation(a, line[j])
+            if rel not in (DISJOINT, DISTINCT_DIRECTION):
+                return (False, f"same-direction segments {a} and {line[j]} are {rel}")
+            j += 1
     return (True, None)
 
 
@@ -179,7 +167,7 @@ class CoverBound:
 
     n: int
     bound: int
-    rule: str  # "A" | "B" | "remark-plus-5" | "exact" | "none"
+    rule: str  # "A" | "B" | "remark-plus-5" | "none"
 
 
 def combined_lower(n: int, rules: frozenset[str] = ALL_RULES) -> CoverBound:
@@ -197,10 +185,12 @@ def combined_lower(n: int, rules: frozenset[str] = ALL_RULES) -> CoverBound:
     k = -(-n // 4)
     best = CoverBound(n, 0, "none")
     if RULE_A in rules:
-        best = CoverBound(n, 5 * k, RULE_A)
+        best = CoverBound(n, claim_a_lower(n), RULE_A)
     if n % 4 != 1:
-        if RULE_B in rules and k % 5 == 1 and 5 * k + 4 > best.bound:
-            best = CoverBound(n, 5 * k + 4, RULE_B)
+        if RULE_B in rules and k % 5 == 1:
+            bound = lemma_min_cover_bound((k - 1) // 5)
+            if bound > best.bound:
+                best = CoverBound(n, bound, RULE_B)
         if RULE_REMARK in rules and k % 5 in (2, 3) and 5 * k + 5 > best.bound:
             best = CoverBound(n, 5 * k + 5, "remark-plus-5")
     return best
@@ -212,10 +202,14 @@ def scan_table(
     """Rows (n, rule, lower bound, n+36, feasible) for n = 1..n_max.
 
     Stops at the first infeasible row (inclusive), where the lower bound
-    exceeds the n+36 points a real game could have on the board.
+    exceeds the n+36 points a real game could have on the board.  An empty
+    rule set bounds nothing, so no row would ever be infeasible; it raises
+    ``ValueError``.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if not rules:
+        raise ValueError("the rule set is empty: no N is ever infeasible")
     rows = []
     for n in range(1, n_max + 1):
         cb = combined_lower(n, rules)
@@ -254,6 +248,9 @@ def min_cover_exact(
     tree exceeds ``node_budget`` are rejected up front ("too large for exact
     search") rather than answered approximately.
     """
+    # written so that NaN fails too: no node count ever passes a NaN budget
+    if not node_budget >= 0:
+        raise ValueError("node budget must be >= 0")
     counts = {d: int(n_per_direction.get(d, 0)) for d in DIRECTIONS}
     if any(c < 0 for c in counts.values()):
         raise ValueError("line counts must be nonnegative")
@@ -357,7 +354,9 @@ def lemma_counting_replay(layout: Layout, d1: Direction, d2: Direction) -> int:
     ok, why = verify_layout(layout)
     if not ok:
         raise LayoutError(why)
-    m1, m2 = len(layout.lines[d1]), len(layout.lines[d2])
+    lines1 = [seg for seg in layout.lines if seg.direction == d1]
+    lines2 = [seg for seg in layout.lines if seg.direction == d2]
+    m1, m2 = len(lines1), len(lines2)
     if m1 != m2 or m1 % 5 != 1:
         raise LayoutError(f"need 5k+1 lines in both directions, got {m1} and {m2}")
     k = (m1 - 1) // 5
@@ -366,10 +365,10 @@ def lemma_counting_replay(layout: Layout, d1: Direction, d2: Direction) -> int:
         return line_key(d1, *p) % 5
 
     pts1: set[Point] = set()
-    for seg in layout.lines[d1]:
+    for seg in lines1:
         pts1.update(seg.points())
     pts2: set[Point] = set()
-    for seg in layout.lines[d2]:
+    for seg in lines2:
         pts2.update(seg.points())
 
     by_color2 = [0] * 5
@@ -424,15 +423,11 @@ def pack_runs(points: Iterable[Point]) -> Layout:
     return Layout.from_segments(segments)
 
 
-def grid_points(n: int) -> set[Point]:
-    return {(x, y) for x in range(n) for y in range(n)}
-
-
 def grid_packing(n: int) -> Layout:
     """Packed layout of the n x n grid; 64 lines covering 100 points at n=10."""
     if n < 1:
         raise ValueError("grid side must be >= 1")
-    return pack_runs(grid_points(n))
+    return pack_runs(octagon_points(n, n, (0, 0, 0, 0)))
 
 
 def octagon_points(w: int, h: int, cuts: tuple[int, int, int, int]) -> set[Point]:
@@ -484,7 +479,7 @@ def _improve(layout: Layout) -> Layout:
     offer windows hold a point it is the first to cover, so only those are
     re-scored.
     """
-    segs = layout.segments()
+    segs = list(layout.lines)
     # cover counts per point and sorted offsets per lattice line, kept in
     # step with segs so that each pass is linear in the layout
     count: dict[Point, int] = {}
@@ -604,7 +599,6 @@ def packing_search(
         cut_list = [(0, 0, 0, 0)]
 
     best = PackResult(Layout(), 0, 0)
-    best_key = None
     for w in widths:
         for h in heights:
             for cut in cut_list:
@@ -616,14 +610,13 @@ def packing_search(
                 cov = len(layout.points())
                 if cov > n + 36 or n == 0:
                     continue
-                key = layout.canonical_key()
-                if n > best.n or (n == best.n and (best_key is None or key < best_key)):
+                # all lines share one length, so tuple order is (direction, anchor) order
+                if n > best.n or (n == best.n and layout.lines < best.layout.lines):
                     ok, why = verify_layout(layout)
                     if not ok:
                         raise LayoutError(f"packing produced an invalid layout: {why}")
                     assert combined_lower(n).bound <= cov
                     best = PackResult(layout, n, cov)
-                    best_key = key
     return best
 
 

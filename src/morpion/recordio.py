@@ -233,7 +233,7 @@ def parse_layout(text: str) -> Layout:
 def emit_layout(layout: Layout) -> str:
     """Serialize a layout canonically: segments in (direction, anchor) order."""
     out = [f"{LAYOUT_MAGIC} v1 alpha={layout.alpha}"]
-    for seg in layout.segments():
+    for seg in layout.lines:
         out.append(f"dir={seg.direction.name} anchor={seg.anchor[0]},{seg.anchor[1]}")
     return "\n".join(out) + "\n"
 
@@ -265,7 +265,7 @@ def _scene(obj, annotate: bool):
         segments = obj.lines
     elif isinstance(obj, Layout):
         points = {p: "o" for p in obj.points()}
-        segments = obj.segments()
+        segments = obj.lines
     else:
         raise TypeError(f"cannot render {type(obj).__name__} (need Board, GameRecord, or Layout)")
     return points, sorted(segments, key=lambda s: (s.direction, s.anchor))

@@ -24,11 +24,11 @@ from morpion.linecover import (
     RULE_REMARK,
     coverage,
     grid_packing,
-    grid_points,
     infeasibility_scan,
     lemma_counting_replay,
     lemma_min_cover_bound,
     min_cover_exact,
+    octagon_points,
     packing_search,
 )
 from morpion.potential import PUBLISHED_BOUNDS, potential_bound, potential_report
@@ -138,7 +138,7 @@ def test_criterion_07_packing_frontier():
         layout = grid_packing(10)
         assert layout.line_count == 64
         assert coverage(layout) == 100
-        assert layout.points() == grid_points(10)
+        assert layout.points() == octagon_points(10, 10, (0, 0, 0, 0))
         result = packing_search(
             "octagon", range(4, 15), range(4, 15), cuts=(0, 1, 2, 3)
         )

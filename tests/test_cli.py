@@ -66,6 +66,14 @@ def test_scan_rejects_unknown_rule(capsys):
     assert "unknown rules" in err
 
 
+@pytest.mark.parametrize("rules", ["--rules=", "--rules=,"])
+def test_scan_rejects_an_empty_rule_set(capsys, rules):
+    code, out, err = run(capsys, "scan", rules, "--max=10")
+    assert code == 2
+    assert out == ""
+    assert "rule set is empty" in err
+
+
 def test_verify_golden_record(capsys):
     code, out, _ = run(capsys, "verify", str(GOLDEN / "greedy_5d_seed1.rec"))
     assert code == 0

@@ -27,7 +27,6 @@ from morpion.linecover import (
     combined_lower,
     coverage,
     grid_packing,
-    grid_points,
     infeasibility_scan,
     lemma_counting_replay,
     lemma_min_cover_bound,
@@ -40,6 +39,7 @@ from morpion.linecover import (
     scan_table,
     verify_layout,
 )
+from morpion.recordio import emit_layout
 
 A_ONLY = frozenset({RULE_A})
 AB = frozenset({RULE_A, RULE_B})
@@ -95,6 +95,14 @@ def test_scan_table_stops_at_first_infeasible_row():
     assert len(rows) == 122
 
 
+def test_scan_table_rejects_an_empty_rule_set():
+    # no rule means no N is ever infeasible, so the scan would only stop at n_max
+    with pytest.raises(ValueError, match="rule set is empty"):
+        scan_table(frozenset(), 10)
+    with pytest.raises(ValueError, match="rule set is empty"):
+        infeasibility_scan(frozenset(), 10)
+
+
 # -- layouts -----------------------------------------------------------------
 
 
@@ -109,21 +117,32 @@ def test_verify_layout_catches_conflicts():
     assert not ok and "overlapping" in why
     ok, why = verify_layout(Layout.from_segments([hline(0, 0), hline(4, 0)]))
     assert not ok and "touching" in why
-    ok, why = verify_layout(Layout(5, {Direction.E: (Segment(Direction.N, (0, 0), 5),)}))
-    assert not ok and "filed" in why
-    ok, why = verify_layout(Layout.from_segments([Segment(Direction.E, (0, 0), 4)]))
-    assert not ok and "length" in why
+
+
+def test_layout_order_is_set_at_construction():
+    rng = np.random.default_rng(31)
+    for seed in range(50):
+        layout = random_layout(np.random.default_rng(seed))
+        shuffled = list(layout.lines)
+        rng.shuffle(shuffled)
+        again = Layout.from_segments(shuffled, layout.alpha)
+        assert again == layout
+        assert emit_layout(again) == emit_layout(layout)
+        assert list(again.lines) == sorted(again.lines, key=lambda s: (s.direction, s.anchor))
+
+
+@pytest.mark.parametrize("length", [4, 6])
+def test_layout_rejects_a_line_of_another_length(length):
+    with pytest.raises(LayoutError, match=f"has length {length}, expected 5"):
+        Layout.from_segments([hline(10, 0), Segment(Direction.E, (0, 0), length)])
+    with pytest.raises(LayoutError, match="expected 5"):
+        Layout(5, (Segment(Direction.N, (0, 0), length),))
 
 
 def all_pairs_verify(layout):
     """Reference check: every same-direction pair through segment_relation."""
     for d in DIRECTIONS:
-        segs = sorted(layout.lines[d])
-        for seg in segs:
-            if seg.direction != d:
-                return (False, f"segment {seg} filed under direction {d.name}")
-            if seg.length != layout.alpha:
-                return (False, f"segment {seg} has length {seg.length}, expected {layout.alpha}")
+        segs = sorted(s for s in layout.lines if s.direction == d)
         for i, a in enumerate(segs):
             for b in segs[i + 1 :]:
                 rel = geometry.segment_relation(a, b)
@@ -146,11 +165,16 @@ def test_verify_layout_matches_the_all_pairs_check():
             segments.append(Segment(d, anchor, length))
             if rng.random() < 0.05:
                 segments.append(segments[-1])
+        if any(s.length != alpha for s in segments):
+            with pytest.raises(LayoutError, match=f"expected {alpha}"):
+                Layout.from_segments(segments, alpha)
+            verdicts.add("short")
+            continue
         layout = Layout.from_segments(segments, alpha)
         got = verify_layout(layout)
         assert got == all_pairs_verify(layout)
         verdicts.add(got[0])
-    assert verdicts == {True, False}
+    assert verdicts == {True, False, "short"}
 
 
 def test_verify_layout_compares_only_nearby_collinear_lines(monkeypatch):
@@ -257,6 +281,12 @@ def test_exact_search_refuses_oversized_requests():
         min_cover_exact({d: 6 for d in DIRECTIONS}, window=26, node_budget=10**6)
 
 
+@pytest.mark.parametrize("budget", [float("nan"), -1])
+def test_exact_search_rejects_a_budget_no_count_can_meet(budget):
+    with pytest.raises(ValueError, match="node budget must be >= 0"):
+        min_cover_exact({Direction.E: 3, Direction.N: 3}, 10, node_budget=budget)
+
+
 # -- the 5-coloring counting replay ------------------------------------------
 
 
@@ -293,7 +323,7 @@ def test_counting_replay_rejects_other_line_lengths(alpha):
 def test_counting_replay_ignores_extra_directions():
     rng = np.random.default_rng(23)
     layout = two_direction_layout(rng, Direction.E, Direction.N, 1)
-    extra = list(layout.segments()) + [Segment(Direction.NE, (100, 100), 5)]
+    extra = list(layout.lines) + [Segment(Direction.NE, (100, 100), 5)]
     floor = lemma_counting_replay(Layout.from_segments(extra), Direction.E, Direction.N)
     assert floor == 34
 
@@ -304,7 +334,7 @@ def test_counting_replay_ignores_extra_directions():
 def test_pack_runs_on_two_runs():
     pts = {(x, 0) for x in range(5)} | {(x, 2) for x in range(10, 17)}
     layout = pack_runs(pts)
-    segs = layout.segments()
+    segs = layout.lines
     assert [s.anchor for s in segs] == [(0, 0), (10, 2)]
     assert all(s.direction == Direction.E for s in segs)
 
@@ -313,8 +343,8 @@ def test_grid_packing_10_is_the_64_line_witness():
     layout = grid_packing(10)
     assert layout.line_count == 64
     assert coverage(layout) == 100
-    assert layout.points() == grid_points(10)
-    counts = {d: len(layout.lines[d]) for d in DIRECTIONS}
+    assert layout.points() == octagon_points(10, 10, (0, 0, 0, 0))
+    counts = {d: sum(s.direction == d for s in layout.lines) for d in DIRECTIONS}
     assert counts[Direction.E] == counts[Direction.N] == 20
     assert counts[Direction.NE] == counts[Direction.SE] == 12
 
@@ -333,7 +363,7 @@ def test_octagon_points_counts():
     assert len(octagon_points(10, 10, (1, 1, 1, 1))) == 96
     assert len(octagon_points(10, 10, (3, 0, 0, 0))) == 100 - 6
     assert octagon_points(6, 6, (2, 0, 0, 0)) == {
-        p for p in grid_points(6) if p[0] + p[1] >= 2
+        p for p in octagon_points(6, 6, (0, 0, 0, 0)) if p[0] + p[1] >= 2
     }
 
 
@@ -355,7 +385,7 @@ def reference_improve(layout):
     """The packing post-pass scored from scratch: every shift builds its
     segment and counts its five points, and every addition re-scores both
     ends of every lattice line."""
-    segs = layout.segments()
+    segs = list(layout.lines)
     count = {}
     offsets = {}
 
@@ -436,7 +466,7 @@ def test_improve_matches_the_from_scratch_reference():
     layouts += [random_layout(np.random.default_rng(seed)) for seed in range(300)]
     layouts += [grid_packing(n) for n in range(1, 13)]
     for layout in layouts:
-        assert _improve(layout).segments() == reference_improve(layout).segments()
+        assert _improve(layout) == reference_improve(layout)
 
 
 def test_random_layouts_never_beat_certified_lower_bounds():

@@ -178,7 +178,7 @@ def test_layout_roundtrip_canonicalizes_order():
     text = emit_layout(layout)
     again = parse_layout(text)
     assert emit_layout(again) == text
-    assert again.canonical_key() == layout.canonical_key()
+    assert again == layout
     # scrambled segment order parses to the same layout
     head, *rest = text.splitlines()
     scrambled = "\n".join([head] + rest[::-1]) + "\n"
