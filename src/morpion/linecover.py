@@ -47,6 +47,7 @@ from .geometry import (
     DIRECTIONS,
     DISJOINT,
     DISTINCT_DIRECTION,
+    SUPPORTED_ALPHAS,
     Direction,
     Point,
     Segment,
@@ -82,8 +83,9 @@ class Layout:
 
     ``lines`` is one tuple in canonical ``(direction, anchor)`` order, which
     construction sets however the lines are given, so two layouts of the
-    same lines are equal; a line of another length raises
-    :class:`LayoutError` there.  :func:`verify_layout` checks that
+    same lines are equal; an ``alpha`` outside ``SUPPORTED_ALPHAS`` or a
+    line of another length raises :class:`LayoutError` there, so every
+    layout emits a file that parses back.  :func:`verify_layout` checks that
     same-direction lines are disjoint.
     """
 
@@ -91,6 +93,8 @@ class Layout:
     lines: tuple[Segment, ...] = ()
 
     def __post_init__(self):
+        if self.alpha not in SUPPORTED_ALPHAS:
+            raise LayoutError(f"alpha={self.alpha} out of range (supported: 3..6)")
         lines = tuple(sorted(self.lines))
         for seg in lines:
             if seg.length != self.alpha:
@@ -619,25 +623,3 @@ def packing_search(
                     best = PackResult(layout, n, cov)
     return best
 
-
-def random_layout(rng) -> Layout:
-    """A small random valid layout for property tests and demos.
-
-    ``rng`` is a numpy Generator.  Up to 12 anchors are drawn uniformly in
-    the 20 x 20 window; draws conflicting with an already-kept same-direction
-    line are dropped, so the result may hold fewer lines.
-    """
-    kept: list[Segment] = []
-    offsets: dict[tuple[Direction, int], list[int]] = {}
-    n = int(rng.integers(0, 13))
-    for _ in range(n):
-        d = DIRECTIONS[int(rng.integers(0, 4))]
-        ax = int(rng.integers(0, 20))
-        ay = int(rng.integers(0, 20))
-        line = (d, line_key(d, ax, ay))
-        off = line_offset(d, ax, ay)
-        if conflicts(offsets, _REACH, line, off):
-            continue
-        bisect.insort(offsets.setdefault(line, []), off)
-        kept.append(Segment(d, (ax, ay), 5))
-    return Layout.from_segments(kept)

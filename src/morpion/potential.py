@@ -10,15 +10,17 @@ lists the four parameter triples with published consequences (141, 138, 137,
 136).
 
 ``verify_record`` tests the argument's ingredient facts on a concrete game:
-the total is 144 - N after every move, at least 4 before every move, and a
-finished game keeps at least 7 on its last three crosses
-(``check_terminal_lemma``).  The potential checks are gated to 5D: the same
-formula evaluates on 5T boards, but none of the invariants are claimed there.
+the total, recomputed in one pass over the crosses at every position, is
+144 - N after every move and at least 4 before every move, and a finished
+game keeps at least 7 on its last three crosses (``check_terminal_lemma``).
+The potential checks are gated to 5D: the same formula evaluates on 5T
+boards, but none of the invariants are claimed there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .engine import Board, GameRecord, IllegalMoveError
 from .geometry import FIVE_D, Point
@@ -67,7 +69,13 @@ def potential_report(board: Board) -> PotentialReport:
     """
     per_cross = {c: 4 - board.cover_count.get(c, 0) for c in board.crosses}
     recent = tuple(per_cross[m.cross] for m in board.moves)
-    return PotentialReport(per_cross, sum(per_cross.values()), recent)
+    return PotentialReport(per_cross, _total_potential(board), recent)
+
+
+def _total_potential(board: Board) -> int:
+    """Sum over the crosses of 4 minus their cover count, in one pass."""
+    crosses = board.crosses
+    return 4 * len(crosses) - sum(map(board.cover_count.get, crosses, repeat(0)))
 
 
 def potential_bound(p0: int, terminal_floor: int, lookback: int) -> int:
@@ -132,11 +140,12 @@ def verify_record(record: GameRecord) -> Verification:
     The final board must hold one cross per move beyond the initial ones, and
     its cover counts must sum to ``alpha`` points per move.
 
-    Each 5D position gets one :func:`potential_report`: its total must be
-    144 - N after N moves and at least 4 before each recorded move.  It is
-    recomputed from the cover counts, not updated per move, so a count
-    corrupted anywhere on the board is caught, not only where a move lands.
-    A finished 5D game must also pass :func:`check_terminal_lemma`.
+    At each 5D position the total potential is recomputed in one pass over
+    the crosses: it must be 144 - N after N moves and at least 4 before each
+    recorded move.  It is summed from the cover counts, not updated per
+    move, so a count corrupted anywhere on the board is caught, not only
+    where a move lands.  A finished 5D game must also pass
+    :func:`check_terminal_lemma`, the one full :func:`potential_report`.
     """
     board = Board(record.variant)
     monitored = record.variant == FIVE_D
@@ -166,7 +175,7 @@ def verify_record(record: GameRecord) -> Verification:
 
 def _checked_total(board: Board) -> int:
     """The board's total potential, after checking it is 144 - N."""
-    total = potential_report(board).total
+    total = _total_potential(board)
     n = board.score
     if total != INITIAL_POTENTIAL - n:
         raise MonitorFailure("potential", f"total != {INITIAL_POTENTIAL}-{n} after move {n}")

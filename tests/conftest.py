@@ -1,12 +1,13 @@
 """Shared test helpers."""
 
+import bisect
 import signal
 
 import numpy as np
 import pytest
 
-from morpion.geometry import Segment, point_at
-from morpion.linecover import Layout
+from morpion.geometry import DIRECTIONS, Segment, conflicts, line_key, line_offset, point_at
+from morpion.linecover import _REACH, Layout
 
 # the largest budget an acceptance criterion allows, so only a loop that
 # never ends reaches it
@@ -46,6 +47,29 @@ def two_direction_layout(rng, d1, d2, k, alpha=5):
             off = int(rng.integers(-30, 31))
             segments.append(Segment(d, point_at(d, int(key), off), alpha))
     return Layout.from_segments(segments, alpha)
+
+
+def random_layout(rng):
+    """A small random valid layout for property tests.
+
+    ``rng`` is a numpy Generator.  Up to 12 anchors are drawn uniformly in
+    the 20 x 20 window; draws conflicting with an already-kept same-direction
+    line are dropped, so the result may hold fewer lines.
+    """
+    kept = []
+    offsets = {}
+    n = int(rng.integers(0, 13))
+    for _ in range(n):
+        d = DIRECTIONS[int(rng.integers(0, 4))]
+        ax = int(rng.integers(0, 20))
+        ay = int(rng.integers(0, 20))
+        line = (d, line_key(d, ax, ay))
+        off = line_offset(d, ax, ay)
+        if conflicts(offsets, _REACH, line, off):
+            continue
+        bisect.insort(offsets.setdefault(line, []), off)
+        kept.append(Segment(d, (ax, ay), 5))
+    return Layout.from_segments(kept)
 
 
 # one field at a time over the interpreter's 4,300-digit int() limit

@@ -92,16 +92,21 @@ def test_verify_prefix_record_matches_golden(capsys, tmp_path):
     assert "terminal lemma: skipped (board not terminal)" in out
 
 
-def test_verify_makes_one_potential_report_per_position(capsys, monkeypatch):
-    calls = []
-    report = potential.potential_report
+def test_verify_makes_one_total_per_position_and_one_report(capsys, monkeypatch):
+    totals, reports = [], []
+    total, report = potential._checked_total, potential.potential_report
     monkeypatch.setattr(
-        potential, "potential_report", lambda board: calls.append(board.score) or report(board)
+        potential, "_checked_total", lambda board: totals.append(board.score) or total(board)
+    )
+    monkeypatch.setattr(
+        potential, "potential_report", lambda board: reports.append(board.score) or report(board)
     )
     code, out, _ = run(capsys, "verify", str(GOLDEN / "greedy_5d_seed1.rec"))
     assert code == 0
-    # positions 0..53, then the terminal lemma's own report
-    assert calls == list(range(54)) + [53]
+    # one checked total at each of positions 0..53, and one full report, for
+    # the terminal lemma
+    assert totals == list(range(54))
+    assert reports == [53]
 
 
 def tampered_record(tmp_path):

@@ -34,12 +34,13 @@ from morpion.linecover import (
     octagon_points,
     pack_runs,
     packing_search,
-    random_layout,
     _improve,
     scan_table,
     verify_layout,
 )
 from morpion.recordio import emit_layout
+
+from conftest import random_layout, two_direction_layout
 
 A_ONLY = frozenset({RULE_A})
 AB = frozenset({RULE_A, RULE_B})
@@ -288,9 +289,6 @@ def test_exact_search_rejects_a_budget_no_count_can_meet(budget):
 
 
 # -- the 5-coloring counting replay ------------------------------------------
-
-
-from conftest import two_direction_layout  # noqa: E402  (shared generator)
 
 
 def test_counting_replay_on_random_two_direction_layouts():

@@ -11,6 +11,7 @@ from morpion.potential import (
     PUBLISHED_BOUNDS,
     BoundDerivation,
     MonitorFailure,
+    _total_potential,
     check_terminal_lemma,
     potential_bound,
     potential_report,
@@ -117,6 +118,39 @@ def random_game(variant, seed):
     while board.has_legal_moves():
         board.apply(rng.choice(board.legal_moves()))
     return GameRecord(variant, list(board.moves))
+
+
+def assert_one_pass_total_matches_report(board):
+    report = potential_report(board)
+    assert _total_potential(board) == report.total == sum(report.per_cross.values())
+
+
+@pytest.mark.parametrize("variant", [FIVE_D, FIVE_T])
+def test_one_pass_total_matches_the_report_at_every_depth(variant):
+    board = Board(variant)
+    assert_one_pass_total_matches_report(board)
+    for move in random_game(variant, 11).moves:
+        board.apply(move)
+        assert_one_pass_total_matches_report(board)
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+@pytest.mark.parametrize("where", ["last line", "initial cross", "no cross"])
+def test_one_pass_total_matches_the_report_on_corrupted_counts(where, delta):
+    board = Board(FIVE_D)
+    for move in random_game(FIVE_D, 12).moves[:15]:
+        board.apply(move)
+    line = set(board.moves[-1].segment(5).points())
+    point = {
+        "last line": min(line),
+        "initial cross": min(p for p in board.initial if p not in line),
+        "no cross": (100, 100),
+    }[where]
+    assert (point in board.crosses) == (where != "no cross")
+    board.cover_count[point] = board.cover_count.get(point, 0) + delta
+    assert_one_pass_total_matches_report(board)
+    expected = 144 - 15 - (delta if where != "no cross" else 0)
+    assert _total_potential(board) == expected
 
 
 def test_pre_move_floor():

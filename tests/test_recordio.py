@@ -8,7 +8,7 @@ import pytest
 
 from morpion.engine import Board, GameRecord, IllegalMoveError, Move
 from morpion.geometry import FIVE_D, SIX_D, Direction, Segment
-from morpion.linecover import Layout, LayoutError, grid_packing, random_layout
+from morpion.linecover import Layout, LayoutError, grid_packing
 from morpion.recordio import (
     RecordParseError,
     RenderSpec,
@@ -20,7 +20,7 @@ from morpion.recordio import (
 )
 from morpion.solver import greedy, random_playout
 
-from conftest import HUGE, OVERSIZED_FIELDS
+from conftest import HUGE, OVERSIZED_FIELDS, random_layout
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -225,6 +225,20 @@ def test_layout_alpha_other_than_five():
     layout = parse_layout(text)
     assert layout.alpha == 6
     assert emit_layout(layout) == text
+
+
+def test_layout_refuses_an_alpha_no_file_can_hold():
+    with pytest.raises(LayoutError, match="alpha=7 out of range"):
+        Layout(7, (Segment(Direction.E, (0, 0), 7),))
+    with pytest.raises(LayoutError, match="alpha=2 out of range"):
+        Layout(2, ())
+
+
+@pytest.mark.parametrize("alpha", [3, 4, 5, 6])
+def test_every_constructible_layout_round_trips(alpha):
+    lines = (Segment(Direction.E, (0, 0), alpha), Segment(Direction.N, (0, 0), alpha))
+    layout = Layout(alpha, lines)
+    assert parse_layout(emit_layout(layout)) == layout
 
 
 # -- rendering ---------------------------------------------------------------
