@@ -1,18 +1,18 @@
 """Search harnesses: exhaustive solving, random playouts, beam search, NMCS.
 
-Everything here is deterministic given its seed: randomness comes from a
-named 64-bit generator (PCG64), and parallel playout sweeps give worker i
-the stream ``PCG64(seed).jumped(i)`` so results do not depend on worker
-count.  Budgets are expressed in nodes.  A node is one (position, move)
-pair a search examines, which each strategy meets its own way: the beam
+Everything here is deterministic given its seed: randomness comes from
+``rng.rng_stream(seed, stream)``, and a playout sweep plays game i on
+stream i, so its result does not depend on its worker count.  Budgets are
+expressed in nodes.  A node is one (position, move) pair a search
+examines, which each strategy meets its own way: the beam
 counts the deduplicated candidates of each level it expands, NMCS counts
 each candidate move it tries and each playout move (not the moves of the
 line it then follows), the exhaustive solver counts each child it examines,
 whether its transposition table answers it or the move is applied, and
 random playouts and sweeps count the moves their games play.  Wall-clock
 budgets are honored but a run that stops on time rather than nodes is not
-guaranteed to be reproducible.  A negative or NaN node or time budget, or
-line length 3 (3D/3T games can go on without end) raises
+guaranteed to be reproducible.  A negative or NaN node or time budget, a
+negative seed, or line length 3 (3D/3T games can go on without end) raises
 ``ValueError``.
 
 Every record leaving this module from the standard start passes a bound
@@ -32,10 +32,9 @@ from dataclasses import dataclass
 from operator import itemgetter, or_
 from typing import Callable
 
-import numpy as np
-
 from .engine import Board, GameRecord, Move, replay
 from .geometry import Point, Variant, initial_crosses
+from .rng import Stream, rng_stream
 
 FIVE_D_LINE_BOUND = 121
 DEFAULT_NODE_BUDGET = 10**8
@@ -74,14 +73,6 @@ class _Stop(Exception):
         self.reason = reason
 
 
-def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
-    """Substream ``stream`` of the seeded generator; stream 0 is the root."""
-    bits = np.random.PCG64(seed)
-    if stream:
-        bits = bits.jumped(stream)
-    return np.random.Generator(bits)
-
-
 def check_record_bounds(record: GameRecord, board: Board | None = None) -> Board:
     """The guard every solver output passes; returns the replayed board.
 
@@ -112,13 +103,13 @@ def record_from_board(board: Board, **metadata: str) -> GameRecord:
 # -- random playouts -------------------------------------------------------
 
 
-def _playout(board: Board, rng: np.random.Generator, tick: Callable | None = None) -> Board:
+def _playout(board: Board, rng: Stream, tick: Callable | None = None) -> Board:
     """Play uniformly random legal moves in place until none remain, calling
     ``tick(board)`` before each."""
     while moves := board.legal_moves():
         if tick is not None:
             tick(board)
-        board.apply(moves[int(rng.integers(0, len(moves)))])
+        board.apply(moves[rng.integers(0, len(moves))])
     return board
 
 
@@ -231,7 +222,7 @@ def beam_search(
                 if key in seen:
                     continue
                 seen.add(key)
-                candidates.append((float(rng.random()), bi, m))
+                candidates.append((rng.random(), bi, m))
         if not candidates:
             break
         candidates.sort(key=itemgetter(0))

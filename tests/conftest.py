@@ -52,7 +52,8 @@ def two_direction_layout(rng, d1, d2, k, alpha=5):
 def random_layout(rng):
     """A small random valid layout for property tests.
 
-    ``rng`` is a numpy Generator.  Up to 12 anchors are drawn uniformly in
+    ``rng`` is any object with ``integers(low, high)``, such as a numpy
+    Generator or ``rng_stream``.  Up to 12 anchors are drawn uniformly in
     the 20 x 20 window; draws conflicting with an already-kept same-direction
     line are dropped, so the result may hold fewer lines.
     """

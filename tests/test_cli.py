@@ -6,7 +6,10 @@ byte-stable.
 """
 
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -270,6 +273,17 @@ def test_solve_rejects_negative_or_nan_budgets(capsys, argv):
     assert "budget must be >= 0" in err
 
 
+@pytest.mark.parametrize(
+    "strategy", [name for name, search in cli._SEARCHES.items() if "seed" in cli._keywords(search)]
+)
+def test_solve_rejects_a_negative_seed(capsys, strategy):
+    code, out, err = run(capsys, "solve", "--strategy", strategy, "--seed=-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "non-negative" in err
+
+
 @pytest.mark.parametrize("strategy", cli._SEARCHES)
 @pytest.mark.parametrize("variant", ["3D", "3T"])
 def test_solve_refuses_line_length_3(capsys, strategy, variant):
@@ -334,6 +348,30 @@ def test_pack_reports_and_writes_layout(capsys, tmp_path):
     assert lines == n and budget == n + 36 and cov <= budget
     layout = parse_layout(out_path.read_text())
     assert layout.line_count == n
+
+
+# runs the CLI with every import of numpy failing
+_WITHOUT_NUMPY = (
+    "import sys; sys.modules['numpy'] = None; import morpion; from morpion.cli import main; "
+    "sys.exit(main(sys.argv[1:]))"
+)
+
+
+@pytest.mark.parametrize(
+    "argv", [["--strategy", "nmcs", "--seed", "3"], ["--strategy", "random", "--seed", "7"]]
+)
+def test_solve_runs_without_numpy(capsys, argv):
+    src = Path(potential.__file__).parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    blocked = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY, "solve", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (blocked.returncode, blocked.stderr) == (0, "")
+    code, out, _ = run(capsys, "solve", *argv)
+    assert code == 0
+    assert mask_time(blocked.stdout) == mask_time(out)
 
 
 def test_usage_errors_exit_2(capsys):

@@ -116,9 +116,13 @@ def test_playout_sweep_best_matches_individual_streams():
 
 
 def test_rng_streams_are_distinct():
-    a = rng_stream(1, 0).integers(0, 2**31, size=8).tolist()
-    b = rng_stream(1, 1).integers(0, 2**31, size=8).tolist()
-    c = rng_stream(1, 0).integers(0, 2**31, size=8).tolist()
+    def draws(seed, stream):
+        rng = rng_stream(seed, stream)
+        return [rng.integers(0, 2**31) for _ in range(8)]
+
+    a = draws(1, 0)
+    b = draws(1, 1)
+    c = draws(1, 0)
     assert a != b
     assert a == c
 
