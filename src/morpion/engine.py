@@ -21,25 +21,33 @@ the undo trail keeps the parent's, so :meth:`Board.undo` restores it by
 assignment, and :meth:`Board.copy` and ``Board(variant)`` share it.
 
 Applying a move can only validate segments through its cross that had two
-empty points.  For each direction, the crosses among the ``2 * alpha - 2``
-neighbours of the cross along it form a pattern; a table per line length
-maps each pattern to the windows through the cross that it leaves with
-exactly one empty point, and to where that point is.  The table depends on
-nothing but ``alpha``, so :meth:`Board.undo` has nothing to reverse in it.
+empty points.  For each direction, the cross flags of the ``2 * alpha - 2``
+neighbours of the cross along it form a pattern, a tuple of 0s and 1s; a
+table per line length maps each pattern to the windows through the cross
+that it leaves with exactly one empty point, and to where that point is.
+The table depends on nothing but ``alpha``, so :meth:`Board.undo` has
+nothing to reverse in it.
 
 The point geometry comes from one table per line length, shared by every
-board in the process: for a point, per direction, its neighbours and the
-rows of the ``alpha`` segments through it.  Both tables fill lazily, the
-pattern table on the first use of a pattern and the point table on the first
-use of a point.  Points gain entries only when they receive a cross or
-anchor a placed line, through the constructors or a legal
-:meth:`Board.apply` (an illegal move is rejected before any lookup), so the
-point table is bounded by the points that boards in the process have
-covered.  ``Board(variant)`` at the standard start copies one prototype
-board per variant and process.
+board in the process: for a point, per direction, its neighbours, an
+``operator.itemgetter`` of their ids, and the rows of the ``alpha`` segments
+through it.  The table interns each point it names as a small int id, and
+each board keeps a ``bytearray`` of cross flags indexed by those ids, the
+hot-path index of its ``crosses`` set: ``apply`` and ``undo`` store one byte
+each, and a direction's pattern is one C-level gather, the neighbours'
+itemgetter applied to the flags.  Ids are interned by every board in the
+process, so a board's flags grow to the current ids before each read.
+The tables fill lazily, the pattern table on the first use of a pattern and
+the point table on the first use of a point.  Points gain entries only when
+they receive a cross or anchor a placed line, through the constructors or a
+legal :meth:`Board.apply` (an illegal move is rejected before any lookup),
+so the point table is bounded by the points that boards in the process have
+covered, and the ids by those points and their ``2 * alpha - 2`` neighbours
+per direction.  ``Board(variant)`` at the standard start copies one
+prototype board per variant and process.
 
 ``apply``, ``Board.force`` and the legal-index rebuild read only from the
-tables.
+tables and the flags.
 :meth:`Board.legality_failure` and :meth:`Board.check_invariants` derive
 every segment from :func:`~morpion.geometry.segment_through` and
 ``Segment.points`` instead, as an independent reference; all of them share
@@ -51,6 +59,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .geometry import (
@@ -112,29 +121,30 @@ class GameRecord:
 
 # a segment: (its points from the anchor, anchor offset, (direction, line key))
 _Row = tuple[tuple[Point, ...], int, tuple[Direction, int]]
-# a point along one direction: (direction, its neighbours and the rows of the
-# segments through it, both in _Windows order)
-_Around = tuple[Direction, tuple[Point, ...], tuple[_Row, ...]]
+# a point along one direction: (direction, its neighbours, a getter of their
+# cross flags, the rows of the segments through it), all in _Windows order
+_Around = tuple[Direction, tuple[Point, ...], itemgetter, tuple[_Row, ...]]
 
 
 class _Windows(dict):
     """Neighbour pattern -> the windows through a cross that it leaves with
     one empty point; filled on first use of each pattern.
 
-    ``pattern[k]`` is nonzero when neighbour ``k`` of the cross bears a cross.
-    The ``2 * alpha - 2`` neighbours are the points ``alpha - 1`` steps or
-    fewer from the cross along one direction, in step order, the cross itself
-    left out.  Window ``i`` is the segment anchored at line position ``i``
-    (the cross is at ``alpha - 1``); it covers neighbours ``i`` to
-    ``i + alpha - 2``.  Each hit is ``(i, k)``, ``k`` the window's one empty
-    neighbour, in increasing ``i``.
+    A pattern is the tuple of the neighbours' cross flags that a board's
+    gather returns: ``pattern[k]`` is 1 when neighbour ``k`` of the cross
+    bears a cross and 0 when it is empty.  The ``2 * alpha - 2`` neighbours
+    are the points ``alpha - 1`` steps or fewer from the cross along one
+    direction, in step order, the cross itself left out.  Window ``i`` is the
+    segment anchored at line position ``i`` (the cross is at ``alpha - 1``);
+    it covers neighbours ``i`` to ``i + alpha - 2``.  Each hit is ``(i, k)``,
+    ``k`` the window's one empty neighbour, in increasing ``i``.
     """
 
     def __init__(self, alpha: int):
         super().__init__()
         self.alpha = alpha
 
-    def __missing__(self, pattern: bytes) -> tuple[tuple[int, int], ...]:
+    def __missing__(self, pattern: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
         alpha = self.alpha
         found = []
         for i in range(alpha):
@@ -148,31 +158,42 @@ class _Windows(dict):
 class _Geometry:
     """Point tables for one line length; :meth:`around` fills what it misses."""
 
-    __slots__ = ("alpha", "by_point", "windows")
+    __slots__ = ("alpha", "by_point", "ids", "windows")
 
     def __init__(self, alpha: int):
         self.alpha = alpha
         self.by_point: dict[Point, tuple[_Around, ...]] = {}
+        # point -> its index in every board's cross flags, in order of first use
+        self.ids: dict[Point, int] = {}
         self.windows = _Windows(alpha)
 
     def around(self, point: Point) -> tuple[_Around, ...]:
-        """Per direction, in ``Direction`` order: the point's neighbours and
-        the rows of the segments through it, row ``alpha - 1`` anchored at
-        the point itself."""
+        """Per direction, in ``Direction`` order: the point's neighbours, the
+        getter that reads their flags from a board's cross flags as one
+        ``_Windows`` pattern, and the rows of the segments through the point,
+        row ``alpha - 1`` anchored at the point itself.
+
+        The first call for a point interns it and its neighbours in ``ids``.
+        """
         found = self.by_point.get(point)
         if found is None:
             alpha = self.alpha
+            ids = self.ids
             x, y = point
             per_direction = []
             for d in DIRECTIONS:
                 sx, sy = d.step
                 line = [(x + t * sx, y + t * sy) for t in range(1 - alpha, alpha)]
+                for p in line:
+                    ids.setdefault(p, len(ids))
+                nbrs = tuple(line[: alpha - 1] + line[alpha:])
                 key = line_key(d, x, y)
                 rows = tuple(
                     (tuple(line[i : i + alpha]), line_offset(d, *line[i]), (d, key))
                     for i in range(alpha)
                 )
-                per_direction.append((d, tuple(line[: alpha - 1] + line[alpha:]), rows))
+                gather = itemgetter(*[ids[p] for p in nbrs])
+                per_direction.append((d, nbrs, gather, rows))
             found = self.by_point[point] = tuple(per_direction)
         return found
 
@@ -211,6 +232,7 @@ class Board:
         "_geo",
         "_reach",
         "_line_offsets",
+        "_flags",
         "_legal",
         "_trail",
     )
@@ -232,6 +254,9 @@ class Board:
         self._reach = conflict_reach(variant.alpha, variant.touching_allowed)
         # (direction, line_key) -> sorted anchor offsets of placed lines
         self._line_offsets: dict[tuple[Direction, int], list[int]] = {}
+        # 1 at the geometry's id of each cross, 0 elsewhere; as long as the
+        # ids were when the board last entered a cross
+        self._flags: bytearray
         # legal move -> its segment's row; replaced, never mutated, once published
         self._legal: dict[Move, _Row]
         # the legal dict before each move, for undo
@@ -256,7 +281,7 @@ class Board:
         last = variant.alpha - 1  # a point's row anchored at the point itself
         for move in moves:
             board.crosses.add(move.cross)
-            board._register_line(around(move.anchor)[move.direction][2][last])
+            board._register_line(around(move.anchor)[move.direction][3][last])
             board.moves.append(move)
         board._rebuild_legal()
         return board
@@ -324,6 +349,7 @@ class Board:
             if m[0] != cross and (r[2] != line or abs(r[1] - off) > reach)
         }
         self.crosses.add(cross)
+        self._flags[self._geo.ids[cross]] = 1
         self._register_line(row)
         self.moves.append(move)
         self._enter_legal(cross, move.direction)
@@ -336,6 +362,7 @@ class Board:
         move = self.moves.pop()
         self._unregister_line(self._legal[move])
         self.crosses.discard(move.cross)
+        self._flags[self._geo.ids[move.cross]] = 0
         return self
 
     def copy(self) -> "Board":
@@ -354,6 +381,7 @@ class Board:
         self._geo = other._geo
         self._reach = other._reach
         self._line_offsets = {k: list(v) for k, v in other._line_offsets.items()}
+        self._flags = other._flags.copy()
         self._legal = other._legal
         self._trail = list(other._trail)
 
@@ -363,21 +391,29 @@ class Board:
 
         They are the windows through ``cross`` with one empty point that
         conflict with no placed line; a window through a new cross had it
-        empty, so :meth:`apply` has already dropped its old move.  ``drawn``
-        is the direction of a line just drawn through ``cross``: under the D
-        rule every window along it shares the cross with that line, so none
-        is tested.
+        empty, so :meth:`apply` has already dropped its old move.  Each
+        direction's neighbour pattern is one gather from the cross flags,
+        which must already flag every cross; they grow first to the ids that
+        ``around`` or another board has interned since they were sized.
+        ``drawn`` is the direction of a line just drawn through ``cross``:
+        under the D rule every window along it shares the cross with that
+        line, so none is tested.
         """
         skip = None if self.variant.touching_allowed else drawn
-        has = self.crosses.__contains__
+        geo = self._geo
+        around = geo.around(cross)
+        flags = self._flags
+        grow = len(geo.ids) - len(flags)
+        if grow > 0:
+            flags.extend(bytes(grow))
         legal = self._legal
-        windows = self._geo.windows
+        windows = geo.windows
         offsets = self._line_offsets
         reach = self._reach
-        for d, nbrs, rows in self._geo.around(cross):
+        for d, nbrs, gather, rows in around:
             if d is skip:
                 continue
-            for i, k in windows[bytes(map(has, nbrs))]:
+            for i, k in windows[gather(flags)]:
                 row = rows[i]
                 if not conflicts(offsets, reach, row[2], row[1]):
                     legal[Move(nbrs[k], d, row[0][0])] = row
@@ -407,7 +443,16 @@ class Board:
         """Index every legal move from scratch: the constructors' slow path.
 
         A legal segment covers at least two crosses and is met through each.
+        Every cross is flagged before the first is entered, since an
+        unflagged cross would read as an empty point.
         """
+        geo = self._geo
+        for cross in self.crosses:
+            geo.around(cross)  # interns the cross
+        ids = geo.ids
+        flags = self._flags = bytearray(len(ids))
+        for cross in self.crosses:
+            flags[ids[cross]] = 1
         self._legal = {}
         for cross in self.crosses:
             self._enter_legal(cross, None)
@@ -416,7 +461,9 @@ class Board:
         """Full consistency audit; raises AssertionError on any mismatch.
 
         O(board size); meant for tests, not search loops.  Derives every
-        expectation from the segment geometry, never from the shared tables.
+        expectation of the lines and the legal index from the segment
+        geometry, never from the shared tables; the cross flags are checked
+        against ``crosses`` through the interned ids.
         """
         alpha = self.variant.alpha
         assert self.crosses == set(self.initial) | {m.cross for m in self.moves}, (
@@ -436,6 +483,13 @@ class Board:
         assert {k: sorted(v) for k, v in offsets.items()} == self._line_offsets, (
             "line offsets out of sync"
         )
+        ids = self._geo.ids
+        flags = bytearray(len(self._flags))
+        for p in self.crosses:
+            i = ids.get(p)
+            assert i is not None and i < len(flags), f"cross {p} has no flag"
+            flags[i] = 1
+        assert flags == self._flags, "cross flags out of sync"
         limit = 1 if self.variant.touching_allowed else 0
         for i, a in enumerate(lines):
             for b in lines[i + 1 :]:

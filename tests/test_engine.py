@@ -145,14 +145,20 @@ def test_standard_start_is_untouched_by_play_on_another_board(variant):
 @pytest.mark.parametrize("alpha", [3, 4, 5, 6])
 def test_window_table_matches_a_brute_force_count(alpha):
     """Every pattern of crosses on the 2 * alpha - 2 neighbours of a new
-    cross, in every direction: the table's windows are exactly the segments
-    through the cross that ``segment_through`` finds with one empty point."""
+    cross, in every direction, read as the engine reads it (the entry's
+    gather over cross flags indexed by the interned ids): the table's windows
+    are exactly the segments through the cross that ``segment_through`` finds
+    with one empty point."""
     geo = _geometry(alpha)
     origin = (0, 0)
-    for d, nbrs, rows in geo.around(origin):
+    for d, nbrs, gather, rows in geo.around(origin):
         for bits in range(2 ** (2 * alpha - 2)):
-            pattern = bytes((bits >> k) & 1 for k in range(2 * alpha - 2))
-            crosses = {origin} | {p for p, bit in zip(nbrs, pattern) if bit}
+            crosses = {origin} | {p for k, p in enumerate(nbrs) if (bits >> k) & 1}
+            flags = bytearray(len(geo.ids))
+            for p in crosses:
+                flags[geo.ids[p]] = 1
+            pattern = gather(flags)
+            assert pattern == tuple(int(p in crosses) for p in nbrs)
             expected = set()
             for shift in range(alpha):
                 seg = segment_through(d, origin, shift, alpha)
@@ -356,4 +362,67 @@ def test_check_invariants_rejects_a_cross_off_its_line():
     move = Move((5, 0), Direction.E, (0, 0))
     board = Board.force(FIVE_D, [move], [(x, 0) for x in range(5)])
     with pytest.raises(AssertionError, match="off its line"):
+        board.check_invariants()
+
+
+def play_and_check(board, rng, steps):
+    """Play up to ``steps`` random moves, matching the oracle and the audit
+    at every step."""
+    for _ in range(steps):
+        moves = board.legal_moves()
+        assert moves == sorted(oracle_moves(board))
+        board.check_invariants()
+        if not moves:
+            break
+        board.apply(rng.choice(moves))
+    board.check_invariants()
+
+
+def test_flags_sized_before_another_board_interned_fresh_points():
+    """Boards share one point-id table, so a board's cross flags can be
+    shorter than the ids another board has interned since; the board must
+    grow them before it reads the new points."""
+    far = [(x + 500, y - 700) for x, y in initial_crosses(5)]
+    early = Board(FIVE_D, far)
+    sized = len(early._flags)
+    other = Board(FIVE_D, far)
+    rng = random.Random(31)
+    for _ in range(25):
+        moves = other.legal_moves()
+        if not moves:
+            break
+        other.apply(rng.choice(moves))
+    assert len(_geometry(5).ids) > sized
+    # the same game again on the early board: every point it reaches was
+    # interned after its flags were sized
+    for move in other.moves:
+        assert early.legal_moves() == sorted(oracle_moves(early))
+        early.apply(move)
+        early.check_invariants()
+    assert len(early._flags) > sized
+    play_and_check(early, random.Random(37), 10)
+
+
+@pytest.mark.parametrize("variant", [FIVE_D, FIVE_T])
+def test_far_from_the_origin_the_constructors_match_oracle(variant):
+    far = [(x + 10**6, y - 10**6) for x, y in initial_crosses(5)]
+    board = Board(variant, far)
+    assert len(board.legal_moves()) == INITIAL_LEGAL_5D
+    play_and_check(board, random.Random(41), 8)
+    forced = Board.force(variant, board.moves, far)
+    assert forced.crosses == board.crosses
+    assert forced.legal_moves() == sorted(oracle_moves(forced))
+    assert forced.legal_moves() == board.legal_moves()
+    forced.check_invariants()
+    play_and_check(forced, random.Random(43), 8)
+
+
+@pytest.mark.parametrize("flip", ["cross", "empty"])
+def test_check_invariants_rejects_a_flipped_cross_flag(flip):
+    board = Board(FIVE_D)
+    board.apply(board.legal_moves()[0])
+    ids = _geometry(5).ids
+    point = board.moves[0].cross if flip == "cross" else board.legal_moves()[0].cross
+    board._flags[ids[point]] ^= 1
+    with pytest.raises(AssertionError, match="cross flags out of sync"):
         board.check_invariants()
