@@ -252,10 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     except (RecordParseError, IllegalMoveError, LayoutError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigurationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigurationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,10 +8,11 @@ and may share at most one point under the T rule.
 A segment is a legal line exactly when it covers one empty point and
 conflicts with no placed same-direction line (:func:`~morpion.geometry.conflicts`,
 the package's one conflict test, over the board's sorted anchor offsets per
-lattice line).  The board keeps its legal moves in one dict, from each move
-to its segment's row (points, anchor offset, lattice line), so
-:meth:`Board.apply` tests legality with one lookup; :meth:`Board.legal_moves`
-sorts the dict's keys on read.
+lattice line, which :func:`~morpion.geometry.place_line` and ``lift_line``
+keep with the cover counts).  The board keeps its legal moves in one dict,
+from each move to its segment's row (points, anchor offset, lattice line),
+so :meth:`Board.apply` tests legality with one lookup;
+:meth:`Board.legal_moves` sorts the dict's keys on read.
 
 A position has about ten legal moves, so :meth:`Board.apply` filters the
 parent's dict into a new one, dropping the moves whose one empty point is
@@ -57,7 +58,6 @@ pairwise with :func:`~morpion.geometry.segment_relation`.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, NamedTuple
@@ -73,8 +73,10 @@ from .geometry import (
     conflict_reach,
     conflicts,
     initial_crosses,
+    lift_line,
     line_key,
     line_offset,
+    place_line,
     segment_relation,
     segment_through,
 )
@@ -281,7 +283,8 @@ class Board:
         last = variant.alpha - 1  # a point's row anchored at the point itself
         for move in moves:
             board.crosses.add(move.cross)
-            board._register_line(around(move.anchor)[move.direction][3][last])
+            row = around(move.anchor)[move.direction][3][last]
+            place_line(board._line_offsets, board.cover_count, row)
             board.moves.append(move)
         board._rebuild_legal()
         return board
@@ -350,7 +353,7 @@ class Board:
         }
         self.crosses.add(cross)
         self._flags[self._geo.ids[cross]] = 1
-        self._register_line(row)
+        place_line(self._line_offsets, self.cover_count, row)
         self.moves.append(move)
         self._enter_legal(cross, move.direction)
         return self
@@ -360,7 +363,7 @@ class Board:
             raise IndexError("undo on a board with no moves")
         self._legal = self._trail.pop()
         move = self.moves.pop()
-        self._unregister_line(self._legal[move])
+        lift_line(self._line_offsets, self.cover_count, self._legal[move])
         self.crosses.discard(move.cross)
         self._flags[self._geo.ids[move.cross]] = 0
         return self
@@ -417,27 +420,6 @@ class Board:
                 row = rows[i]
                 if not conflicts(offsets, reach, row[2], row[1]):
                     legal[Move(nbrs[k], d, row[0][0])] = row
-
-    def _register_line(self, row: _Row) -> None:
-        pts, off, line = row
-        bisect.insort(self._line_offsets.setdefault(line, []), off)
-        cover = self.cover_count
-        for p in pts:
-            cover[p] = cover.get(p, 0) + 1
-
-    def _unregister_line(self, row: _Row) -> None:
-        pts, off, line = row
-        offs = self._line_offsets[line]
-        offs.remove(off)
-        if not offs:
-            del self._line_offsets[line]
-        cover = self.cover_count
-        for p in pts:
-            n = cover[p] - 1
-            if n:
-                cover[p] = n
-            else:
-                del cover[p]
 
     def _rebuild_legal(self) -> None:
         """Index every legal move from scratch: the constructors' slow path.
@@ -524,3 +506,9 @@ def replay(record: GameRecord) -> Board:
         except IllegalMoveError as exc:
             raise IllegalMoveError(exc.reason, move, index=i) from None
     return board
+
+
+def counts_match(board: Board, n: int) -> bool:
+    """Whether ``board`` holds ``n`` crosses beyond its initial ones and ``alpha * n`` covers."""
+    covered = sum(board.cover_count.values())
+    return len(board.crosses) == len(board.initial) + n and covered == board.variant.alpha * n

@@ -2,6 +2,8 @@
 
 :func:`conflicts` is the one same-direction conflict test, shared by the rules
 engine and the line-counting module; :func:`segment_relation` is its reference.
+It reads the sorted anchor offsets per lattice line that :func:`place_line` and
+:func:`lift_line`, the one bookkeeper of placed lines, write with the cover counts.
 
 Coordinates are integer pairs ``(x, y)`` with x growing rightward and y growing
 upward.  The canonical starting layout for line length 5 occupies [0, 9] x [0, 9];
@@ -10,7 +12,7 @@ negative coordinates appear as play expands outward.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from enum import IntEnum
 from typing import Iterable, NamedTuple
 
@@ -169,6 +171,30 @@ def conflicts(offsets: dict, reach: int, line: tuple[Direction, int], offset: in
     if i < len(offs) and offs[i] - offset <= reach:
         return True
     return i > 0 and offset - offs[i - 1] <= reach
+
+
+def place_line(offsets: dict, cover: dict, row: tuple) -> None:
+    """Record the line ``row``, ``(points, anchor offset, (direction, line key))``, in
+    ``offsets`` (lattice line -> sorted anchor offsets) and ``cover`` (point -> lines on it)."""
+    pts, off, line = row
+    insort(offsets.setdefault(line, []), off)
+    for p in pts:
+        cover[p] = cover.get(p, 0) + 1
+
+
+def lift_line(offsets: dict, cover: dict, row: tuple) -> None:
+    """Undo :func:`place_line`; a lattice line or point left with no line loses its entry."""
+    pts, off, line = row
+    offs = offsets[line]
+    offs.remove(off)
+    if not offs:
+        del offsets[line]
+    for p in pts:
+        n = cover[p] - 1
+        if n:
+            cover[p] = n
+        else:
+            del cover[p]
 
 
 SUPPORTED_ALPHAS = (3, 4, 5, 6)

@@ -9,8 +9,9 @@ bound: the first N with c'(N) > N + 36 is unreachable, and N-1 bounds the
 score.
 
 The layout searches test disjointness with the engine's D-rule test,
-:func:`~morpion.geometry.conflicts`; :func:`verify_layout` keeps the pairwise
-:func:`~morpion.geometry.segment_relation` as the reference.
+:func:`~morpion.geometry.conflicts`, over maps its bookkeeper
+:func:`~morpion.geometry.place_line`/``lift_line`` keeps; :func:`verify_layout`
+keeps the pairwise :func:`~morpion.geometry.segment_relation` as the reference.
 
 The bound ladder:
 
@@ -45,16 +46,16 @@ from typing import Iterable, Mapping
 
 from .geometry import (
     DIRECTIONS,
-    DISJOINT,
-    DISTINCT_DIRECTION,
     SUPPORTED_ALPHAS,
     Direction,
     Point,
     Segment,
     conflict_reach,
     conflicts,
+    lift_line,
     line_key,
     line_offset,
+    place_line,
     point_at,
     segment_relation,
 )
@@ -70,6 +71,12 @@ class ExactSearchBudgetError(RuntimeError):
 
 # same-direction length-5 lines conflict when their anchors are this close
 _REACH = conflict_reach(5, False)
+
+
+def _row(seg: Segment) -> tuple:
+    """``seg`` as the row that :func:`~morpion.geometry.place_line` records."""
+    return (seg.points(), seg.offset, (seg.direction, seg.key))
+
 
 RULE_A = "A"
 RULE_B = "B"
@@ -122,9 +129,9 @@ def verify_layout(layout: Layout) -> tuple[bool, str | None]:
     Returns (True, None) or (False, message naming the first offense).
     Segments on different lattice lines are disjoint, so each segment is
     compared only with the later ones on its own lattice line.  Along a
-    lattice line anchor order is offset order, so those comparisons stop at
-    the first mate ``alpha`` or more away: it and every later one are
-    disjoint from the segment.
+    lattice line anchor order is offset order, and collinear lines meet
+    exactly when their anchors are under ``alpha`` apart, so only the next
+    mate is compared: if it is disjoint from the segment, so are the rest.
     """
     mates: dict[tuple[Direction, int], list[Segment]] = {}
     for seg in layout.lines:
@@ -135,11 +142,9 @@ def verify_layout(layout: Layout) -> tuple[bool, str | None]:
         line = mates[line_id]
         # a is the passed[line_id]-th segment of its line, so line[j] is the next
         passed[line_id] = j = passed[line_id] + 1
-        while j < len(line) and line[j].offset - a.offset < layout.alpha:
-            rel = segment_relation(a, line[j])
-            if rel not in (DISJOINT, DISTINCT_DIRECTION):
-                return (False, f"same-direction segments {a} and {line[j]} are {rel}")
-            j += 1
+        if j < len(line) and line[j].offset - a.offset < layout.alpha:
+            b = line[j]
+            return (False, f"same-direction segments {a} and {b} are {segment_relation(a, b)}")
     return (True, None)
 
 
@@ -279,7 +284,8 @@ def min_cover_exact(
 
     anchors = [(x, y) for x in range(window) for y in range(window)]
     active = [d for d in DIRECTIONS if counts[d]]
-    covered: set[Point] = set()
+    rows = {d: [_row(Segment(d, a, 5)) for a in anchors] for d in active}
+    cover: dict[Point, int] = {}
     placed_offsets: dict[tuple[Direction, int], list[int]] = {}
     best = total * 5 + 1
     nodes = 0
@@ -289,16 +295,14 @@ def min_cover_exact(
         if remaining == 0:
             di += 1
             if di == len(active):
-                if min_x == 0 and min_y == 0 and len(covered) < best:
-                    best = len(covered)
+                if min_x == 0 and min_y == 0 and len(cover) < best:
+                    best = len(cover)
                 return
             remaining = counts[active[di]]
             start = 0
-        d = active[di]
-        for idx in range(start, len(anchors)):
-            ax, ay = anchors[idx]
-            line = (d, line_key(d, ax, ay))
-            off = line_offset(d, ax, ay)
+        d_rows = rows[active[di]]
+        for idx in range(start, len(d_rows)):
+            pts, off, line = row = d_rows[idx]
             if conflicts(placed_offsets, _REACH, line, off):
                 continue
             nodes += 1
@@ -306,15 +310,12 @@ def min_cover_exact(
                 raise ExactSearchBudgetError(
                     f"too large for exact search: exceeded budget {node_budget}"
                 )
-            seg = Segment(d, (ax, ay), 5)
-            fresh = [p for p in seg.points() if p not in covered]
-            covered.update(fresh)
-            if len(covered) < best:
-                offs = placed_offsets.setdefault(line, [])
-                bisect.insort(offs, off)
+            fresh = sum(1 for p in pts if p not in cover)
+            if len(cover) + fresh < best:
+                ax, ay = pts[0]
+                place_line(placed_offsets, cover, row)
                 place(di, remaining - 1, idx + 1, min(min_x, ax), min(min_y, ay))
-                offs.remove(off)
-            covered.difference_update(fresh)
+                lift_line(placed_offsets, cover, row)
 
     place(0, counts[active[0]], 0, window, window)
 
@@ -488,22 +489,8 @@ def _improve(layout: Layout) -> Layout:
     # step with segs so that each pass is linear in the layout
     count: dict[Point, int] = {}
     offsets: dict[tuple[Direction, int], list[int]] = {}
-
-    def place(seg: Segment, sign: int) -> None:
-        for p in seg.points():
-            n = count.get(p, 0) + sign
-            if n:
-                count[p] = n
-            else:
-                del count[p]
-        line_offs = offsets.setdefault((seg.direction, seg.key), [])
-        if sign > 0:
-            bisect.insort(line_offs, seg.offset)
-        else:
-            line_offs.remove(seg.offset)
-
     for seg in segs:
-        place(seg, 1)
+        place_line(offsets, count, _row(seg))
 
     # shift pass
     improved = True
@@ -535,8 +522,8 @@ def _improve(layout: Layout) -> Layout:
             bisect.insort(mates, offset)
             if best_delta:
                 moved = Segment(d, run[2 + best_delta], 5)
-                place(seg, -1)
-                place(moved, 1)
+                lift_line(offsets, count, _row(seg))
+                place_line(offsets, count, _row(moved))
                 segs[i] = moved
                 improved = True
 
@@ -561,7 +548,7 @@ def _improve(layout: Layout) -> Layout:
         # only the points add is the first to cover change other offers
         covered = [p for p in add.points() if p not in count]
         segs.append(add)
-        place(add, 1)
+        place_line(offsets, count, _row(add))
         stale = {(add.direction, add.key)}
         for p in covered:
             for d in DIRECTIONS:

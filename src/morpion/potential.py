@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 
-from .engine import Board, GameRecord, IllegalMoveError
+from .engine import Board, GameRecord, IllegalMoveError, counts_match
 from .geometry import FIVE_D, Point
 
 #: Total potential of the standard 5D start: 36 crosses worth 4 each.
@@ -160,8 +160,8 @@ def verify_record(record: GameRecord) -> Verification:
         if monitored:
             total = _checked_total(board)
     n = len(record.moves)
-    covered = sum(board.cover_count.values())
-    if covered != record.variant.alpha * n or len(board.crosses) != len(board.initial) + n:
+    if not counts_match(board, n):
+        covered = sum(board.cover_count.values())
         raise MonitorFailure(
             "fact", f"crosses={len(board.crosses)} covered={covered} for N={n}"
         )

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from operator import itemgetter, or_
 from typing import Callable
 
-from .engine import Board, GameRecord, Move, replay
+from .engine import Board, GameRecord, Move, counts_match, replay
 from .geometry import Point, Variant, initial_crosses
 from .rng import Stream, rng_stream
 
@@ -88,8 +88,7 @@ def check_record_bounds(record: GameRecord, board: Board | None = None) -> Board
             )
     if board is None:
         board = replay(record)
-    covered = sum(board.cover_count.values())
-    if covered != record.variant.alpha * n or len(board.crosses) != len(board.initial) + n:
+    if not counts_match(board, n):
         raise AssertionError("engine bug: line/cross counts disagree with the move count")
     return board
 

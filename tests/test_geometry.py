@@ -1,5 +1,8 @@
 """Lattice primitives: direction/key/offset coordinates, segments, variants."""
 
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,8 +22,10 @@ from morpion.geometry import (
     conflict_reach,
     conflicts,
     initial_crosses,
+    lift_line,
     line_key,
     line_offset,
+    place_line,
     point_at,
     segment_relation,
     segment_through,
@@ -110,6 +115,43 @@ def test_conflicts_agrees_with_segment_relation(alpha, touching, placed, probe):
     want = any(segment_relation(new, seg(*line)) in forbidden for line in placed)
     d, key, off = probe
     assert conflicts(offsets, conflict_reach(alpha, touching), (d, key), off) == want
+
+
+@pytest.mark.parametrize("alpha", SUPPORTED_ALPHAS)
+def test_place_and_lift_line_keep_the_maps_conflicts_reads(alpha):
+    """A random walk of placements and lifts over rows crowded onto a few
+    lattice lines leaves the maps equal to a from-scratch count each step."""
+    rng = random.Random(alpha)
+    pool = []
+    for _ in range(24):
+        d = rng.choice(DIRECTIONS)
+        seg = Segment(d, point_at(d, rng.randrange(2), rng.randrange(2 * alpha)), alpha)
+        pool.append((seg, (seg.points(), seg.offset, (d, seg.key))))
+    offsets, cover, placed = {}, {}, []
+    seen = set()
+    for _ in range(150):
+        if placed and rng.random() < 0.45:
+            lift_line(offsets, cover, placed.pop(rng.randrange(len(placed)))[1])
+        else:
+            placed.append(rng.choice(pool))
+            place_line(offsets, cover, placed[-1][1])
+        want = {}
+        for seg, _ in placed:
+            want.setdefault((seg.direction, seg.key), []).append(seg.offset)
+        assert offsets == {line: sorted(offs) for line, offs in want.items()}
+        assert cover == dict(Counter(p for seg, _ in placed for p in seg.points()))
+        assert all(offsets.values()) and all(cover.values())
+        for touching in (False, True):
+            reach = conflict_reach(alpha, touching)
+            forbidden = {OVERLAPPING} if touching else {OVERLAPPING, TOUCHING}
+            for probe, (_, off, line) in pool:
+                hit = any(segment_relation(probe, seg) in forbidden for seg, _ in placed)
+                assert conflicts(offsets, reach, line, off) == hit
+                seen.add(hit)
+    assert seen == {False, True}
+    for _, row in placed:
+        lift_line(offsets, cover, row)
+    assert offsets == {} and cover == {}
 
 
 def test_variant_names_roundtrip():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from morpion.cli import main
 from morpion.engine import Board, GameRecord, Move
 from morpion.geometry import FIVE_D, FIVE_T, Direction
 from morpion.potential import (
@@ -17,6 +18,8 @@ from morpion.potential import (
     potential_report,
     verify_record,
 )
+from morpion.recordio import emit_record
+from morpion.solver import random_playout
 
 
 def test_initial_board_potential():
@@ -187,3 +190,34 @@ def test_verify_record_catches_a_cover_count_corrupted_off_the_move(monkeypatch)
         verify_record(record)
     assert err.value.check == "potential"
     assert str(err.value) == "total != 144-10 after move 10"
+
+
+def test_verify_record_reaches_the_terminal_lemma(monkeypatch, capsys, tmp_path):
+    """Cover moved from another cross onto the last placed one keeps the
+    total potential and the cover sum, so only the terminal lemma fails."""
+    record = random_playout(FIVE_D, 4)
+    assert verify_record(record).terminal == (3, 2, 3)
+    k = 2
+    apply = Board.apply
+
+    def shifting_apply(board, move):
+        apply(board, move)
+        if board.score == len(record.moves):
+            cover = board.cover_count
+            donor = min(p for p in board.initial if cover.get(p, 0) >= k)
+            cover[donor] -= k
+            cover[move.cross] += k
+        return board
+
+    monkeypatch.setattr(Board, "apply", shifting_apply)
+    with pytest.raises(MonitorFailure) as err:
+        verify_record(record)
+    assert err.value.check == "terminal lemma"
+    assert str(err.value) == "last three cross potentials (3, 2, 1)"
+
+    path = tmp_path / "game.rec"
+    path.write_text(emit_record(record))
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        "verify: FAIL (terminal lemma) last three cross potentials (3, 2, 1)\n"
+    )
