@@ -9,17 +9,27 @@ A segment is a legal line exactly when it covers one empty point and
 conflicts with no placed same-direction line (:func:`~morpion.geometry.conflicts`,
 the package's one conflict test, over the board's sorted anchor offsets per
 lattice line, which :func:`~morpion.geometry.place_line` and ``lift_line``
-keep with the cover counts).  The board keeps its legal moves in one dict,
-from each move to its segment's row (points, anchor offset, lattice line),
-so :meth:`Board.apply` tests legality with one lookup;
-:meth:`Board.legal_moves` sorts the dict's keys on read.
+keep with the cover counts).
+
+The legal-move index is built on first read.  A board that nothing has
+asked for its moves (a replay, ``Board(variant, crosses)``, ``Board.force``)
+has none, and :meth:`Board.apply` tests a move with the one direct check,
+:meth:`Board.legality_failure`: the cross is empty, the segment covers it,
+its other points bear crosses and it conflicts with no placed line.
+``legal_moves``, ``has_legal_moves`` and ``check_invariants`` build the
+index; from then on the board keeps its legal moves in one dict, from each
+move to its segment's row (points, anchor offset, lattice line), so
+:meth:`Board.apply` tests legality with one lookup;
+:meth:`Board.legal_moves` sorts the dict's keys on read.  ``Board(variant)``
+shares the index of the variant's start board.
 
 A position has about ten legal moves, so :meth:`Board.apply` filters the
 parent's dict into a new one, dropping the moves whose one empty point is
 the new cross and the moves the drawn line conflicts with, then enters the
 moves the new cross makes legal.  A dict, once published, is never mutated:
-the undo trail keeps the parent's, so :meth:`Board.undo` restores it by
-assignment, and :meth:`Board.copy` and ``Board(variant)`` share it.
+the undo trail keeps the parent's (``None`` for a move applied before the
+index was built), so :meth:`Board.undo` restores it by assignment, and
+:meth:`Board.copy` and ``Board(variant)`` share it.
 
 Applying a move can only validate segments through its cross that had two
 empty points.  For each direction, the cross flags of the ``2 * alpha - 2``
@@ -34,26 +44,28 @@ board in the process: for a point, per direction, its neighbours, an
 ``operator.itemgetter`` of their ids, and the rows of the ``alpha`` segments
 through it.  The table interns each point it names as a small int id, and
 each board keeps a ``bytearray`` of cross flags indexed by those ids, the
-hot-path index of its ``crosses`` set: ``apply`` and ``undo`` store one byte
-each, and a direction's pattern is one C-level gather, the neighbours'
-itemgetter applied to the flags.  Ids are interned by every board in the
+hot-path index of its ``crosses`` set: while the legal-move index is built,
+``apply`` and ``undo`` store one byte each, and a direction's pattern is one
+C-level gather, the neighbours' itemgetter applied to the flags; building
+the index writes them afresh.  Ids are interned by every board in the
 process, so a board's flags grow to the current ids before each read.
 The tables fill lazily, the pattern table on the first use of a pattern and
 the point table on the first use of a point.  Points gain entries only when
 they receive a cross or anchor a placed line, through the constructors or a
-legal :meth:`Board.apply` (an illegal move is rejected before any lookup),
+legal :meth:`Board.apply` (the direct check of an illegal move looks up
+at most one of the board's crosses),
 so the point table is bounded by the points that boards in the process have
 covered, and the ids by those points and their ``2 * alpha - 2`` neighbours
 per direction.  ``Board(variant)`` at the standard start copies one
 prototype board per variant and process.
 
-``apply``, ``Board.force`` and the legal-index rebuild read only from the
-tables and the flags.
-:meth:`Board.legality_failure` and :meth:`Board.check_invariants` derive
-every segment from :func:`~morpion.geometry.segment_through` and
-``Segment.points`` instead, as an independent reference; all of them share
-the one conflict test, and ``check_invariants`` also checks the placed lines
-pairwise with :func:`~morpion.geometry.segment_relation`.
+The indexed ``apply``, ``Board.force`` and the legal-index build read only
+from the tables and the flags.  :meth:`Board.legality_failure` takes the
+move's points from ``Segment.points`` and :meth:`Board.check_invariants`
+derives every segment from :func:`~morpion.geometry.segment_through`, as an
+independent reference; all of them share the one conflict test, and
+``check_invariants`` also checks the placed lines pairwise with
+:func:`~morpion.geometry.segment_relation`.
 """
 
 from __future__ import annotations
@@ -217,10 +229,12 @@ _START: dict[Variant, "Board"] = {}
 
 
 class Board:
-    """Mutable game state with an incrementally maintained legal-move index.
+    """Mutable game state with a legal-move index built on first read and
+    maintained incrementally from then on.
 
     Without ``crosses`` the board starts from the variant's standard crosses,
-    copied from a start board built once per process.  Single-writer: never
+    copied from a start board built once per process, index included; with
+    ``crosses`` it starts without an index.  Single-writer: never
     mutate one board from two threads.  ``copy`` is the supported way to fan
     out.
     """
@@ -244,6 +258,7 @@ class Board:
             start = _START.get(variant)
             if start is None:
                 start = _START[variant] = Board(variant, initial_crosses(variant.alpha))
+                start._index()
             self._copy_from(start)
             return
         self.variant = variant
@@ -256,14 +271,15 @@ class Board:
         self._reach = conflict_reach(variant.alpha, variant.touching_allowed)
         # (direction, line_key) -> sorted anchor offsets of placed lines
         self._line_offsets: dict[tuple[Direction, int], list[int]] = {}
-        # 1 at the geometry's id of each cross, 0 elsewhere; as long as the
-        # ids were when the board last entered a cross
-        self._flags: bytearray
-        # legal move -> its segment's row; replaced, never mutated, once published
-        self._legal: dict[Move, _Row]
-        # the legal dict before each move, for undo
-        self._trail: list[dict[Move, _Row]] = []
-        self._rebuild_legal()
+        # while the legal index is built: 1 at the geometry's id of each
+        # cross, 0 elsewhere; as long as the ids were when the board last
+        # entered a cross
+        self._flags = bytearray()
+        # legal move -> its segment's row, None until something reads it;
+        # replaced, never mutated, once published
+        self._legal: dict[Move, _Row] | None = None
+        # the legal dict (None before the index was built) before each move
+        self._trail: list[dict[Move, _Row] | None] = []
 
     @classmethod
     def force(
@@ -276,7 +292,8 @@ class Board:
 
         For constructing rule-violating positions to exercise the analysis
         monitors; nothing reachable through :meth:`apply` needs this.  The
-        resulting board has history but no undo trail.
+        resulting board has history but no undo trail, and no legal-move
+        index until something reads it.
         """
         board = cls(variant, crosses)
         around = board._geo.around
@@ -286,7 +303,6 @@ class Board:
             row = around(move.anchor)[move.direction][3][last]
             place_line(board._line_offsets, board.cover_count, row)
             board.moves.append(move)
-        board._rebuild_legal()
         return board
 
     # -- queries ---------------------------------------------------------
@@ -303,27 +319,17 @@ class Board:
 
     def legal_moves(self) -> list[Move]:
         """All legal moves, canonically sorted by (cross, direction, anchor)."""
-        return sorted(self._legal)
+        return sorted(self._index())
 
     def has_legal_moves(self) -> bool:
-        return bool(self._legal)
+        return bool(self._index())
 
     def legality_failure(self, move: Move) -> str | None:
         """The first violated clause, or None when the move is legal."""
-        if move in self._legal:
-            return None
-        if move.cross in self.crosses:
-            return f"(a): point {move.cross[0]},{move.cross[1]} already bears a cross"
-        seg = move.segment(self.variant.alpha)
-        pts = seg.points()
-        if move.cross not in pts:
-            return "(b): line does not cover the placed cross"
-        for p in pts:
-            if p != move.cross and p not in self.crosses:
-                return f"(c): point {p[0]},{p[1]} empty"
-        if conflicts(self._line_offsets, self._reach, (seg.direction, seg.key), seg.offset):
-            kind = "touches" if not self.variant.touching_allowed else "overlaps"
-            return f"(d): line {kind} an existing same-direction line"
+        try:
+            self._checked_row(move)
+        except IllegalMoveError as exc:
+            return exc.reason
         return None
 
     def state_key(self) -> frozenset[tuple[Direction, Point]]:
@@ -335,7 +341,16 @@ class Board:
     # -- mutation --------------------------------------------------------
 
     def apply(self, move: Move) -> "Board":
-        row = self._legal.get(move)
+        legal = self._legal
+        if legal is None:
+            # no index to keep: check the move against its own segment
+            row = self._checked_row(move)
+            self._trail.append(None)
+            self.crosses.add(move.cross)
+            place_line(self._line_offsets, self.cover_count, row)
+            self.moves.append(move)
+            return self
+        row = legal.get(move)
         if row is None:
             reason = self.legality_failure(move)
             raise IllegalMoveError(reason or "not currently legal", move)
@@ -345,10 +360,10 @@ class Board:
         reach = self._reach
         # drop the moves whose one empty point is the new cross, this one
         # included, and those the drawn line conflicts with
-        self._trail.append(self._legal)
+        self._trail.append(legal)
         self._legal = {
             m: r
-            for m, r in self._legal.items()
+            for m, r in legal.items()
             if m[0] != cross and (r[2] != line or abs(r[1] - off) > reach)
         }
         self.crosses.add(cross)
@@ -361,11 +376,17 @@ class Board:
     def undo(self) -> "Board":
         if not self._trail:
             raise IndexError("undo on a board with no moves")
-        self._legal = self._trail.pop()
+        legal = self._legal = self._trail.pop()
         move = self.moves.pop()
-        lift_line(self._line_offsets, self.cover_count, self._legal[move])
+        if legal is None:
+            # applied with no index: the row comes from the point table, and
+            # the cross flags wait for the next build
+            row = self._geo.around(move.anchor)[move.direction][3][self.variant.alpha - 1]
+        else:
+            row = legal[move]
+            self._flags[self._geo.ids[move.cross]] = 0
+        lift_line(self._line_offsets, self.cover_count, row)
         self.crosses.discard(move.cross)
-        self._flags[self._geo.ids[move.cross]] = 0
         return self
 
     def copy(self) -> "Board":
@@ -374,6 +395,40 @@ class Board:
         return clone
 
     # -- internals -------------------------------------------------------
+
+    def _checked_row(self, move: Move) -> _Row:
+        """The row of ``move``'s segment, once the move passes the rules;
+        else raise :class:`IllegalMoveError` naming the first violated clause.
+
+        The one direct legality test: it reads neither the legal index nor
+        the cross flags.  The point table is looked up only at a cross of the
+        segment, after every clause but the conflict test has passed, so the
+        only point an illegal move can intern is one of the board's crosses.
+        """
+        cross, d, anchor = move
+        crosses = self.crosses
+        if cross in crosses:
+            raise IllegalMoveError(f"(a): point {cross[0]},{cross[1]} already bears a cross", move)
+        alpha = self.variant.alpha
+        pts = Segment(d, anchor, alpha).points()
+        if cross not in pts:
+            raise IllegalMoveError("(b): line does not cover the placed cross", move)
+        for p in pts:
+            if p != cross and p not in crosses:
+                raise IllegalMoveError(f"(c): point {p[0]},{p[1]} empty", move)
+        # the segment's first cross, at position j along it
+        j = pts[0] == cross
+        row = self._geo.around(pts[j])[d][3][alpha - 1 - j]
+        if conflicts(self._line_offsets, self._reach, row[2], row[1]):
+            kind = "touches" if not self.variant.touching_allowed else "overlaps"
+            raise IllegalMoveError(f"(d): line {kind} an existing same-direction line", move)
+        return row
+
+    def _index(self) -> dict[Move, _Row]:
+        """The legal-move index, built on the first read."""
+        if self._legal is None:
+            self._rebuild_legal()
+        return self._legal
 
     def _copy_from(self, other: "Board") -> None:
         self.variant = other.variant
@@ -422,7 +477,7 @@ class Board:
                     legal[Move(nbrs[k], d, row[0][0])] = row
 
     def _rebuild_legal(self) -> None:
-        """Index every legal move from scratch: the constructors' slow path.
+        """Index every legal move from scratch, on the index's first read.
 
         A legal segment covers at least two crosses and is met through each.
         Every cross is flagged before the first is entered, since an
@@ -442,11 +497,13 @@ class Board:
     def check_invariants(self) -> None:
         """Full consistency audit; raises AssertionError on any mismatch.
 
-        O(board size); meant for tests, not search loops.  Derives every
-        expectation of the lines and the legal index from the segment
-        geometry, never from the shared tables; the cross flags are checked
-        against ``crosses`` through the interned ids.
+        O(board size); meant for tests, not search loops.  Builds the legal
+        index if nothing has read it yet.  Derives every expectation of the
+        lines and the legal index from the segment geometry, never from the
+        shared tables; the cross flags are checked against ``crosses``
+        through the interned ids.
         """
+        legal = self._index()
         alpha = self.variant.alpha
         assert self.crosses == set(self.initial) | {m.cross for m in self.moves}, (
             "crosses must be the initial set plus one per move"
@@ -490,16 +547,19 @@ class Board:
                         self._line_offsets, self._reach, line, seg.offset
                     ):
                         fresh[Move(empty[0], d, seg.anchor)] = (seg.points(), seg.offset, line)
-        assert fresh == self._legal, "incremental legal index diverged from rebuild"
+        assert fresh == legal, "incremental legal index diverged from rebuild"
 
 
 def replay(record: GameRecord) -> Board:
     """Apply the record's moves from the initial board for its variant.
 
     Raises :class:`IllegalMoveError` carrying the 1-based index of the first
-    illegal move; no partial board escapes on failure.
+    illegal move; no partial board escapes on failure.  The board has no
+    legal-move index until something reads it: each move is checked against
+    its own segment.
     """
     board = Board(record.variant)
+    board._legal = None
     for i, move in enumerate(record.moves, start=1):
         try:
             board.apply(move)

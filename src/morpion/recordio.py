@@ -118,13 +118,18 @@ def _ints(m: re.Match, groups: tuple[int, ...], lineno: int) -> list[int]:
     return out
 
 
-def _logical_lines(text: str):
+def _logical_lines(text: str) -> list[str]:
+    """The text's lines, split at LF only: ``str.splitlines`` would also split
+    at characters such as U+2028 that a metadata value may hold."""
     if "\r" in text:
         at = text.index("\r")
         raise RecordParseError(
             "carriage return (LF line endings required)", text.count("\n", 0, at) + 1
         )
-    return text.splitlines()
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
 
 
 def parse_record(text: str, validate: bool = True) -> GameRecord:

@@ -384,6 +384,7 @@ def test_flags_sized_before_another_board_interned_fresh_points():
     grow them before it reads the new points."""
     far = [(x + 500, y - 700) for x, y in initial_crosses(5)]
     early = Board(FIVE_D, far)
+    early.legal_moves()  # builds the index, which sizes the flags
     sized = len(early._flags)
     other = Board(FIVE_D, far)
     rng = random.Random(31)
@@ -426,3 +427,171 @@ def test_check_invariants_rejects_a_flipped_cross_flag(flip):
     board._flags[ids[point]] ^= 1
     with pytest.raises(AssertionError, match="cross flags out of sync"):
         board.check_invariants()
+
+
+# -- the index built on first read ---------------------------------------------
+
+INDEX_VARIANTS = [Variant(4, False), Variant(4, True), FIVE_D, FIVE_T, SIX_D, SIX_T]
+
+
+def random_game(variant, seed, limit):
+    """Up to ``limit`` seeded random moves from the standard start."""
+    rng = random.Random(seed)
+    board = Board(variant)
+    while board.score < limit and board.has_legal_moves():
+        board.apply(rng.choice(board.legal_moves()))
+    return board
+
+
+def unbuilt(variant, moves):
+    board = replay(GameRecord(variant, list(moves)))
+    assert board._legal is None
+    return board
+
+
+def candidate_moves(board):
+    """Every segment through every point near the board, plus moves whose
+    line misses the cross and moves far from the board: each legality clause
+    fails on some of them."""
+    alpha = board.variant.alpha
+    xs = [p[0] for p in board.crosses]
+    ys = [p[1] for p in board.crosses]
+    far = (10**6, -(10**6))
+    for x in range(min(xs) - alpha, max(xs) + alpha + 1):
+        for y in range(min(ys) - alpha, max(ys) + alpha + 1):
+            for d in DIRECTIONS:
+                for shift in range(-1, alpha + 1):
+                    yield Move((x, y), d, segment_through(d, (x, y), shift, alpha).anchor)
+            yield Move((x, y), Direction.E, far)
+    yield Move(far, Direction.N, far)
+
+
+def board_pairs(variant):
+    """An indexed and an unbuilt board at each of a few positions: the ends
+    of three seeded random games, and a row of crosses with one line drawn,
+    next to which a second line would touch the first."""
+    for seed in range(3):
+        board = random_game(variant, seed, 12 + 4 * seed)
+        yield board, unbuilt(variant, board.moves)
+    row = [(x, 0) for x in range(1, 2 * variant.alpha - 2)]
+    first = Move((0, 0), Direction.E, (0, 0))
+    indexed = Board(variant, row)
+    assert indexed.legal_moves()
+    yield indexed.apply(first), Board(variant, row).apply(first)
+
+
+@pytest.mark.parametrize("variant", INDEX_VARIANTS)
+def test_the_direct_check_accepts_exactly_the_indexed_moves(variant):
+    """An unbuilt board tests each move against its own segment; it must
+    accept the indexed board's legal moves and nothing else, and reject the
+    rest for the reason the indexed board gives."""
+    reasons = set()
+    for board, direct in board_pairs(variant):
+        assert direct._legal is None
+        legal = set(board.legal_moves())
+        accepted = set()
+        for move in candidate_moves(board):
+            want = board.legality_failure(move)
+            try:
+                direct.apply(move)
+            except IllegalMoveError as exc:
+                assert exc.reason == want, move
+                reasons.add(want[:3])
+                if want.startswith("(d)"):
+                    seg = move.segment(variant.alpha)
+                    shared = {segment_relation(seg, line) for line in board.lines}
+                    reasons.add(OVERLAPPING if OVERLAPPING in shared else TOUCHING)
+            else:
+                assert want is None, move
+                accepted.add(move)
+                direct.undo()
+            assert direct._legal is None
+        assert accepted == legal
+        assert direct.state_key() == board.state_key()
+        assert direct.cover_count == board.cover_count
+    # the D rule refuses a line that only touches another, the T rule one
+    # that overlaps
+    conflict = OVERLAPPING if variant.touching_allowed else TOUCHING
+    assert {"(a)", "(b)", "(c)", "(d)", conflict} <= reasons
+
+
+def audit(board):
+    """``check_invariants`` and the oracle, on a copy while the board has no
+    index, so the audit does not build it."""
+    built = board._legal is not None
+    probe = board if built else board.copy()
+    probe.check_invariants()
+    assert probe.legal_moves() == sorted(oracle_moves(board))
+    assert (board._legal is not None) is built
+
+
+@pytest.mark.parametrize("variant", [FIVE_D, FIVE_T, SIX_D])
+def test_an_index_built_midway_survives_play_and_undo_to_the_start(variant):
+    moves = random_game(variant, 53, 24).moves
+    half = len(moves) // 2
+    board = unbuilt(variant, [])
+    audit(board)
+    for move in moves[:half]:
+        board.apply(move)
+        audit(board)
+        assert board._legal is None
+    assert board.legal_moves() == sorted(oracle_moves(board))
+    for move in moves[half:]:
+        board.apply(move)
+        audit(board)
+    while board.moves:
+        board.undo()
+        audit(board)
+        assert (board._legal is None) is (board.score < half)
+    assert board.crosses == set(board.initial) and board.cover_count == {}
+
+
+def test_copies_of_an_unbuilt_board_stay_independent():
+    game = random_game(FIVE_D, 59, 30).moves
+    board = unbuilt(FIVE_D, game[:10])
+    clone = board.copy()
+    assert clone.legal_moves()  # builds the clone's index, not the board's
+    assert board._legal is None
+    rng = random.Random(61)
+    for _ in range(4):
+        clone.apply(rng.choice(clone.legal_moves()))
+    for move in game[10:14]:
+        board.apply(move)
+    clone.undo()
+    board.undo()
+    for target in (board, clone):
+        again = unbuilt(FIVE_D, target.moves)
+        assert target.state_key() == again.state_key()
+        assert target.crosses == again.crosses
+        assert target.cover_count == again.cover_count
+        assert target._line_offsets == again._line_offsets
+        audit(target)
+    assert board._legal is None and clone._legal is not None
+
+
+@pytest.mark.parametrize("variant", INDEX_VARIANTS)
+def test_an_illegal_move_far_from_an_unbuilt_board_adds_no_point(variant):
+    """The point table grows only with covered points: the direct check
+    rejects a move far from the board before any lookup."""
+    alpha = variant.alpha
+    geo = _geometry(alpha)
+    boards = [
+        unbuilt(variant, random_game(variant, 67, 10).moves),
+        Board(variant, initial_crosses(alpha)),
+    ]
+    far = (3 * 10**9, 10**9)
+    near = next(iter(boards[1].crosses))
+    moves = [
+        Move(far, Direction.E, far),  # (c): the line's other points are empty
+        Move(far, Direction.NE, segment_through(Direction.NE, far, 2, alpha).anchor),
+        Move(far, Direction.N, near),  # (b): the line misses the cross
+        Move((near[0] + 1, 10**9), Direction.N, (near[0] + 1, near[1])),
+    ]
+    sizes = (len(geo.by_point), len(geo.ids))
+    for board in boards:
+        for move in moves:
+            with pytest.raises(IllegalMoveError):
+                board.apply(move)
+            assert board.legality_failure(move) is not None
+            assert (len(geo.by_point), len(geo.ids)) == sizes
+        assert board._legal is None

@@ -67,6 +67,48 @@ def test_metadata_is_sorted_and_validated():
         emit_record(GameRecord(FIVE_D, [], {"k": "a\nb"}))
 
 
+# every separator ``str.splitlines`` splits at; the formats split at LF only
+LINE_SEPARATORS = [
+    "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+]
+
+
+def test_line_separator_list_is_what_splitlines_splits_at():
+    assert all(f"a{sep}b".splitlines() == ["a", "b"] for sep in LINE_SEPARATORS)
+    others = [chr(c) for c in range(0x3000) if chr(c) not in "".join(LINE_SEPARATORS)]
+    assert all(len(f"a{ch}b".splitlines()) == 1 for ch in others)
+
+
+@pytest.mark.parametrize("sep", LINE_SEPARATORS, ids=ascii)
+def test_a_line_separator_in_metadata_round_trips_or_is_refused(sep):
+    record = GameRecord(FIVE_D, [Move((2, 0), Direction.E, (2, 0))], {"note": f"a{sep}b"})
+    if "\n" in sep or "\r" in sep:
+        with pytest.raises(ValueError, match="line break"):
+            emit_record(record)
+        return
+    text = emit_record(record)
+    back = parse_record(text)
+    assert back.metadata == record.metadata and back.moves == record.moves
+    assert emit_record(back) == text
+
+
+@pytest.mark.parametrize("sep", LINE_SEPARATORS, ids=ascii)
+@pytest.mark.parametrize("at", ["token", "number", "end"])
+def test_a_line_separator_in_a_move_or_layout_line_names_its_line(sep, at):
+    if sep == "\n" and at == "end":
+        pytest.skip("an LF at the end of a line is its line ending")
+    cases = (
+        (parse_record, "morpion-record v1 variant=5D\n# k=v\n", "1 cross=2,0 dir=E anchor=2,0", 3),
+        (parse_layout, "morpion-layout v1 alpha=5\n", "dir=E anchor=0,0", 2),
+    )
+    for parse, head, line, lineno in cases:
+        cut = {"token": line.index(" "), "number": len(line) - 1, "end": len(line)}[at]
+        text = head + line[:cut] + sep + line[cut:] + "\n"
+        with pytest.raises(RecordParseError) as err:
+            parse(text)
+        assert err.value.line == lineno, text
+
+
 def test_parse_errors_name_line_and_column():
     good = emit_record(random_playout(FIVE_D, 2))
     lines = good.splitlines()
