@@ -170,6 +170,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_pack(args) -> int:
+    if args.max_n < 4:
+        raise ValueError(f"--max must be at least 4, got {args.max_n}")
     sizes = range(4, args.max_n + 1)
     result = packing_search("octagon", sizes, sizes, cuts=(0, 1, 2, 3))
     print(

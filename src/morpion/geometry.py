@@ -50,18 +50,23 @@ DIRECTIONS: tuple[Direction, ...] = (
 )
 
 
+#: the lattice bijection: per direction, the coefficients ``(kx, ky, ox, oy)`` of
+#: the line key ``kx*x + ky*y`` and the offset ``ox*x + oy*y`` of the point ``(x, y)``
+LATTICE: tuple[tuple[int, int, int, int], ...] = (
+    (0, 1, 1, 0),  # E
+    (1, 0, 0, 1),  # N
+    (1, -1, 1, 0),  # NE
+    (1, 1, 1, 0),  # SE
+)
+
+
 def line_key(direction: Direction, x: int, y: int) -> int:
     """Identifier of the lattice line through ``(x, y)`` in ``direction``.
 
     Constant along the direction's step, distinct across parallel lines.
     """
-    if direction == Direction.E:
-        return y
-    if direction == Direction.N:
-        return x
-    if direction == Direction.NE:
-        return x - y
-    return x + y
+    kx, ky, _, _ = LATTICE[direction]
+    return kx * x + ky * y
 
 
 def line_offset(direction: Direction, x: int, y: int) -> int:
@@ -69,7 +74,8 @@ def line_offset(direction: Direction, x: int, y: int) -> int:
 
     Together with :func:`line_key` this is a bijection on lattice points.
     """
-    return y if direction == Direction.N else x
+    _, _, ox, oy = LATTICE[direction]
+    return ox * x + oy * y
 
 
 def point_at(direction: Direction, key: int, offset: int) -> Point:

@@ -29,7 +29,11 @@ exclude, which caps what this style of argument can prove.  They pack each
 shape's collinear runs greedily, then a post-pass shifts lines to shed
 points and adds lines while the n+36 slack allows; it keeps cover counts
 and per-lattice-line offers up to date, so each shift or added line
-re-scores only the points and lattice lines it touches.
+re-scores only the points and lattice lines it touches.  The packers work
+on lattice arithmetic: runs are grouped by the per-direction key and offset
+coefficients of :data:`~morpion.geometry.LATTICE`, shifts and offers are
+scored from an anchor plus multiples of the direction's step, and only a
+line that is kept becomes a :class:`~morpion.geometry.Segment`.
 
 The counting analyses (the bound ladder, ``min_cover_exact`` and
 ``lemma_counting_replay``) are for length-5 lines only, though a layout
@@ -41,11 +45,13 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .geometry import (
     DIRECTIONS,
+    LATTICE,
     SUPPORTED_ALPHAS,
     Direction,
     Point,
@@ -54,7 +60,6 @@ from .geometry import (
     conflicts,
     lift_line,
     line_key,
-    line_offset,
     place_line,
     point_at,
     segment_relation,
@@ -73,9 +78,16 @@ class ExactSearchBudgetError(RuntimeError):
 _REACH = conflict_reach(5, False)
 
 
-def _row(seg: Segment) -> tuple:
-    """``seg`` as the row that :func:`~morpion.geometry.place_line` records."""
-    return (seg.points(), seg.offset, (seg.direction, seg.key))
+def _row(d: Direction, x: int, y: int) -> tuple:
+    """The length-5 line anchored at ``(x, y)`` in ``d`` as the row that
+    :func:`~morpion.geometry.place_line` records."""
+    sx, sy = d.step
+    kx, ky, ox, oy = LATTICE[d]
+    pts = (
+        (x, y), (x + sx, y + sy), (x + 2 * sx, y + 2 * sy), (x + 3 * sx, y + 3 * sy),
+        (x + 4 * sx, y + 4 * sy),
+    )
+    return (pts, ox * x + oy * y, (d, kx * x + ky * y))
 
 
 RULE_A = "A"
@@ -284,7 +296,7 @@ def min_cover_exact(
 
     anchors = [(x, y) for x in range(window) for y in range(window)]
     active = [d for d in DIRECTIONS if counts[d]]
-    rows = {d: [_row(Segment(d, a, 5)) for a in anchors] for d in active}
+    rows = {d: [_row(d, *a) for a in anchors] for d in active}
     cover: dict[Point, int] = {}
     placed_offsets: dict[tuple[Direction, int], list[int]] = {}
     best = total * 5 + 1
@@ -402,29 +414,27 @@ def pack_runs(points: Iterable[Point]) -> Layout:
     """Greedy line packing of a point set.
 
     In each direction, every maximal collinear run of length l contributes
-    floor(l/5) disjoint lines packed from the run's start.
+    floor(l/5) disjoint lines packed from the run's start.  Along one
+    lattice line, point order is offset order, so the points are sorted once
+    and each direction groups their offsets by line key in that order.
     """
-    pts = set(points)
+    pts = sorted(set(points))
     segments: list[Segment] = []
     for d in DIRECTIONS:
-        by_key: dict[int, list[int]] = {}
+        kx, ky, ox, oy = LATTICE[d]
+        by_key: defaultdict[int, list[int]] = defaultdict(list)
         for x, y in pts:
-            by_key.setdefault(line_key(d, x, y), []).append(line_offset(d, x, y))
+            by_key[kx * x + ky * y].append(ox * x + oy * y)
         for key, offs in by_key.items():
-            offs.sort()
-            run_start = offs[0]
-            run_len = 1
-            runs = []
-            for prev, cur in zip(offs, offs[1:]):
-                if cur == prev + 1:
-                    run_len += 1
-                else:
-                    runs.append((run_start, run_len))
-                    run_start, run_len = cur, 1
-            runs.append((run_start, run_len))
-            for start, length in runs:
-                for j in range(length // 5):
-                    segments.append(Segment(d, point_at(d, key, start + j * 5), 5))
+            # a sentinel past the end closes the last run
+            offs.append(offs[-1] + 2)
+            start = prev = offs[0]
+            for cur in offs[1:]:
+                if cur != prev + 1:
+                    for off in range(start, prev - 3, 5):
+                        segments.append(Segment(d, point_at(d, key, off), 5))
+                    start = cur
+                prev = cur
     return Layout.from_segments(segments)
 
 
@@ -473,96 +483,120 @@ def _improve(layout: Layout) -> Layout:
     points that leave at one end and enter at the other change, so a shift
     gains (leaving points no other line covers) - (entering points nothing
     covers); the first shift of greatest positive gain in the order -2, -1,
-    1, 2 wins.
+    1, 2 wins.  Each line is kept as the row :func:`~morpion.geometry.place_line`
+    records, and a shift is scored from the cover counts of the points its
+    anchor plus j steps reaches.  A shift can only gain by shedding one of
+    the two points at either end that the line alone covers, so a line with
+    none is skipped before any conflict test.
 
     An addition appends one more line at either end of an existing lattice
     line's packed run, kept while the n+36 slack allows it (each new line
     must bring at most new_line_count points beyond its own count plus the
     slack available).  Each lattice line keeps its cheaper end as its offer,
-    and the least (fresh points, segment) offer is added.  An addition only
-    changes the offers of its own lattice line and of the lattice lines whose
-    offer windows hold a point it is the first to cover, so only those are
-    re-scored.
+    a ``(fresh points, direction, anchor)`` tuple, which orders as the
+    candidate segments do since all have length 5; the least offer is added
+    as a row, and segments are built only for the returned layout.  An
+    addition only changes the offers of its own lattice line and of the
+    lattice lines whose offer windows hold a point it is the first to cover,
+    so only those are re-scored.
     """
-    segs = list(layout.lines)
-    # cover counts per point and sorted offsets per lattice line, kept in
-    # step with segs so that each pass is linear in the layout
+    # each line as its place_line row; cover counts per point and sorted
+    # offsets per lattice line, kept in step with rows so that each pass is
+    # linear in the layout
+    rows = [_row(seg.direction, *seg.anchor) for seg in layout.lines]
     count: dict[Point, int] = {}
     offsets: dict[tuple[Direction, int], list[int]] = {}
-    for seg in segs:
-        place_line(offsets, count, _row(seg))
+    for row in rows:
+        place_line(offsets, count, row)
 
     # shift pass
     improved = True
     while improved:
         improved = False
-        for i, seg in enumerate(segs):
-            d, key, offset = seg.direction, seg.key, seg.offset
-            line = (d, key)
+        for i, row in enumerate(rows):
+            pts, offset, line = row
+            # shed[j]: the line alone covers the point j steps past its anchor
+            shed = [count[p] == 1 for p in pts]
+            if not (shed[0] or shed[1] or shed[3] or shed[4]):
+                continue
+            (x, y), d = pts[0], line[0]
             sx, sy = d.step
-            x, y = seg.anchor
-            # run[j + 2] is the point j steps past the anchor, for j in -2..6
-            run = [(x + j * sx, y + j * sy) for j in range(-2, 7)]
-            # test the shifts against the other lines on seg's lattice line
+            # fresh_j: nothing covers the point j steps past the anchor
+            fresh_m1 = (x - sx, y - sy) not in count
+            fresh_m2 = (x - 2 * sx, y - 2 * sy) not in count
+            fresh_5 = (x + 5 * sx, y + 5 * sy) not in count
+            fresh_6 = (x + 6 * sx, y + 6 * sy) not in count
+            gains = (
+                (-2, shed[4] + shed[3] - fresh_m1 - fresh_m2),
+                (-1, shed[4] - fresh_m1),
+                (1, shed[0] - fresh_5),
+                (2, shed[0] + shed[1] - fresh_5 - fresh_6),
+            )
+            # test the shifts against the other lines on the lattice line
             mates = offsets[line]
             mates.remove(offset)
             best_delta, best_gain = 0, 0
-            for delta in (-2, -1, 1, 2):
-                if conflicts(offsets, _REACH, line, offset + delta):
-                    continue
-                if delta > 0:
-                    leaving, entering = run[2 : 2 + delta], run[7 : 7 + delta]
-                else:
-                    leaving, entering = run[7 + delta : 7], run[2 + delta : 2]
-                gain = sum(1 for p in leaving if count[p] == 1) - sum(
-                    1 for p in entering if p not in count
-                )
-                if gain > best_gain:
+            for delta, gain in gains:
+                if gain > best_gain and not conflicts(offsets, _REACH, line, offset + delta):
                     best_delta, best_gain = delta, gain
             bisect.insort(mates, offset)
             if best_delta:
-                moved = Segment(d, run[2 + best_delta], 5)
-                lift_line(offsets, count, _row(seg))
-                place_line(offsets, count, _row(moved))
-                segs[i] = moved
+                moved = _row(d, x + best_delta * sx, y + best_delta * sy)
+                lift_line(offsets, count, row)
+                place_line(offsets, count, moved)
+                rows[i] = moved
                 improved = True
 
     # addition pass
-    def offer(line: tuple[Direction, int]) -> tuple[int, Segment]:
+    def offer(line: tuple[Direction, int]) -> tuple[int, Direction, Point]:
         d, key = line
+        sx, sy = d.step
         offs = offsets[line]
-        return min(
-            (sum(1 for p in cand.points() if p not in count), cand)
-            for cand in (
-                Segment(d, point_at(d, key, offs[0] - 5), 5),
-                Segment(d, point_at(d, key, offs[-1] + 5), 5),
-            )
-        )
+        cands = []
+        for x, y in (point_at(d, key, offs[0] - 5), point_at(d, key, offs[-1] + 5)):
+            fresh = 0
+            for j in range(5):
+                if (x + j * sx, y + j * sy) not in count:
+                    fresh += 1
+            cands.append((fresh, d, (x, y)))
+        return min(cands)
 
     offers = {line: offer(line) for line in offsets}
     while offers:
-        fresh, add = min(offers.values())
-        slack = len(segs) + 36 - len(count)
+        fresh, d, anchor = min(offers.values())
+        slack = len(rows) + 36 - len(count)
         if fresh > slack + 1:
             break
+        add = _row(d, *anchor)
         # only the points add is the first to cover change other offers
-        covered = [p for p in add.points() if p not in count]
-        segs.append(add)
-        place_line(offsets, count, _row(add))
-        stale = {(add.direction, add.key)}
-        for p in covered:
+        covered = [p for p in add[0] if p not in count]
+        rows.append(add)
+        place_line(offsets, count, add)
+        stale = {add[2]}
+        for x, y in covered:
             for d in DIRECTIONS:
-                line = (d, line_key(d, *p))
+                kx, ky, ox, oy = LATTICE[d]
+                line = (d, kx * x + ky * y)
                 offs = offsets.get(line)
                 if offs is None:
                     continue
-                off = line_offset(d, *p)
+                off = ox * x + oy * y
                 if offs[0] - 5 <= off < offs[0] or offs[-1] + 5 <= off < offs[-1] + 10:
                     stale.add(line)
         for line in stale:
             offers[line] = offer(line)
 
-    return Layout.from_segments(segs)
+    return Layout.from_segments(Segment(line[0], pts[0], 5) for pts, _, line in rows)
+
+
+def _corner_cuts(cut) -> tuple[int, int, int, int]:
+    """One ``packing_search`` cut as its four corner depths; an int cuts all four."""
+    if isinstance(cut, int):
+        return (cut, cut, cut, cut)
+    depths = tuple(cut) if isinstance(cut, Iterable) else ()
+    if len(depths) != 4 or not all(isinstance(t, int) for t in depths):
+        raise ValueError(f"cut {cut!r} must be an int or four ints")
+    return depths
 
 
 def packing_search(
@@ -580,8 +614,7 @@ def packing_search(
     """
     widths = sorted(set(widths))
     heights = sorted(set(heights))
-    cut_list = [(c, c, c, c) if isinstance(c, int) else tuple(c) for c in cuts]
-    cut_list = sorted(set(cut_list))
+    cut_list = sorted(set(map(_corner_cuts, cuts)))
     if not widths or not heights or (shape_family == "octagon" and not cut_list):
         raise ValueError("parameter ranges must be nonempty")
     if shape_family not in ("rectangle", "octagon"):
@@ -598,15 +631,16 @@ def packing_search(
                     continue
                 layout = _improve(pack_runs(pts))
                 n = layout.line_count
-                cov = len(layout.points())
-                if cov > n + 36 or n == 0:
-                    continue
                 # all lines share one length, so tuple order is (direction, anchor) order
-                if n > best.n or (n == best.n and layout.lines < best.layout.lines):
-                    ok, why = verify_layout(layout)
-                    if not ok:
-                        raise LayoutError(f"packing produced an invalid layout: {why}")
-                    assert combined_lower(n).bound <= cov
-                    best = PackResult(layout, n, cov)
+                if n == 0 or n < best.n or (n == best.n and layout.lines >= best.layout.lines):
+                    continue
+                cov = len(layout.points())
+                if cov > n + 36:
+                    continue
+                ok, why = verify_layout(layout)
+                if not ok:
+                    raise LayoutError(f"packing produced an invalid layout: {why}")
+                assert combined_lower(n).bound <= cov
+                best = PackResult(layout, n, cov)
     return best
 

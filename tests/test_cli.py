@@ -350,6 +350,12 @@ def test_pack_reports_and_writes_layout(capsys, tmp_path):
     assert layout.line_count == n
 
 
+def test_pack_names_the_least_max_that_works(capsys):
+    code, out, err = run(capsys, "pack", "--max=3")
+    assert (code, out) == (2, "")
+    assert err == "error: --max must be at least 4, got 3\n"
+
+
 # runs the CLI with every import of numpy failing
 _WITHOUT_NUMPY = (
     "import sys; sys.modules['numpy'] = None; import morpion; from morpion.cli import main; "

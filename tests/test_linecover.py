@@ -7,7 +7,9 @@ pooling, pruning) must agree with it exactly.
 """
 
 import bisect
+import hashlib
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -377,6 +379,82 @@ def test_packing_search_rectangles():
 def test_packing_search_rejects_unknown_family():
     with pytest.raises(ValueError):
         packing_search("hexagon", range(4, 6), range(4, 6))
+
+
+@pytest.mark.parametrize("cut", [(1, 2, 3), 1.5])
+def test_packing_search_rejects_a_malformed_cut(cut):
+    message = f"cut {cut!r} must be an int or four ints"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        packing_search("octagon", range(4, 6), range(4, 6), cuts=[0, cut])
+
+
+# (n, coverage, sha256 of the emitted layout) of the best packing
+PACKING_PINS = [
+    (
+        ("octagon", range(4, 11), range(4, 11), (0, 1, 2, 3)),
+        (68, 104, "dcf2f08b894dbaf37d24886af4105987831fe370bfd8ec197aae837ba765b408"),
+    ),
+    (
+        ("rectangle", range(8, 13), range(8, 13), (0,)),
+        (68, 104, "dcf2f08b894dbaf37d24886af4105987831fe370bfd8ec197aae837ba765b408"),
+    ),
+]
+
+
+@pytest.mark.parametrize("args, pin", PACKING_PINS, ids=["octagon", "rectangle"])
+def test_packing_search_matches_its_pin(args, pin):
+    family, widths, heights, cuts = args
+    result = packing_search(family, widths, heights, cuts=cuts)
+    digest = hashlib.sha256(emit_layout(result.layout).encode()).hexdigest()
+    assert (result.n, result.coverage, digest) == pin
+
+
+def reference_pack_runs(points):
+    """Greedy run packing point by point: each direction groups the points'
+    offsets by line key, sorts each group and packs its runs."""
+    pts = set(points)
+    segments = []
+    for d in DIRECTIONS:
+        by_key = {}
+        for x, y in pts:
+            by_key.setdefault(geometry.line_key(d, x, y), []).append(geometry.line_offset(d, x, y))
+        for key, offs in by_key.items():
+            offs.sort()
+            run_start = offs[0]
+            run_len = 1
+            runs = []
+            for prev, cur in zip(offs, offs[1:]):
+                if cur == prev + 1:
+                    run_len += 1
+                else:
+                    runs.append((run_start, run_len))
+                    run_start, run_len = cur, 1
+            runs.append((run_start, run_len))
+            for start, length in runs:
+                for j in range(length // 5):
+                    segments.append(Segment(d, point_at(d, key, start + j * 5), 5))
+    return Layout.from_segments(segments)
+
+
+def test_pack_runs_matches_the_point_by_point_reference():
+    point_sets = [
+        pts
+        for w in range(4, 13)
+        for h in range(4, 13)
+        for c in range(5)
+        if (pts := octagon_points(w, h, (c, c, c, c)))
+    ]
+    assert len(point_sets) == 399
+    point_sets += [random_layout(np.random.default_rng(seed)).points() for seed in range(300)]
+    far = {(-(10**6) + x, 10**6 + y) for x in range(-3, 9) for y in range(-4, 7)}
+    point_sets += [set(), far]
+    packed = 0
+    for pts in point_sets:
+        layout = pack_runs(pts)
+        assert layout == reference_pack_runs(pts)
+        packed += layout.line_count
+    assert packed > 0
+    assert pack_runs(far).line_count > 0
 
 
 def reference_improve(layout):
