@@ -209,7 +209,7 @@ def _cmd_replay(args) -> int:
     terminal = "yes" if not board.has_legal_moves() else "no"
     print(
         f"replayed {len(board.moves)} moves: crosses={len(board.crosses)}"
-        f" lines={len(board.lines)} terminal={terminal}"
+        f" lines={len(board.moves)} terminal={terminal}"
     )
     return 0
 

@@ -50,19 +50,20 @@ C-level gather, the neighbours' itemgetter applied to the flags; building
 the index writes them afresh.  Ids are interned by every board in the
 process, so a board's flags grow to the current ids before each read.
 The tables fill lazily, the pattern table on the first use of a pattern and
-the point table on the first use of a point.  Points gain entries only when
-they receive a cross or anchor a placed line, through the constructors or a
-legal :meth:`Board.apply` (the direct check of an illegal move looks up
-at most one of the board's crosses),
-so the point table is bounded by the points that boards in the process have
-covered, and the ids by those points and their ``2 * alpha - 2`` neighbours
-per direction.  ``Board(variant)`` at the standard start copies one
-prototype board per variant and process.
+the point table on the first use of a point.  Only the legal-move index
+interns points: building it interns every cross, and an indexed
+:meth:`Board.apply` its new cross.  The direct check, ``Board.force`` and the
+undo of a move applied before the index was built take their rows from
+:func:`~morpion.geometry.line_row` and intern nothing, so the point table is
+bounded by the crosses of the boards whose index was built, and the ids by
+those points and their ``2 * alpha - 2`` neighbours per direction.  A table
+row equals the row ``line_row`` builds, so a line placed before the index
+was built is lifted after it, and the reverse.  ``Board(variant)`` at the
+standard start copies one prototype board per variant and process.
 
-The indexed ``apply``, ``Board.force`` and the legal-index build read only
-from the tables and the flags.  :meth:`Board.legality_failure` takes the
-move's points from ``Segment.points`` and :meth:`Board.check_invariants`
-derives every segment from :func:`~morpion.geometry.segment_through`, as an
+The indexed ``apply`` and ``undo`` and the legal-index build read only
+from the tables and the flags.  :meth:`Board.check_invariants` derives
+every segment from :func:`~morpion.geometry.segment_through`, as an
 independent reference; all of them share the one conflict test, and
 ``check_invariants`` also checks the placed lines pairwise with
 :func:`~morpion.geometry.segment_relation`.
@@ -88,6 +89,7 @@ from .geometry import (
     lift_line,
     line_key,
     line_offset,
+    line_row,
     place_line,
     segment_relation,
     segment_through,
@@ -296,11 +298,9 @@ class Board:
         index until something reads it.
         """
         board = cls(variant, crosses)
-        around = board._geo.around
-        last = variant.alpha - 1  # a point's row anchored at the point itself
         for move in moves:
             board.crosses.add(move.cross)
-            row = around(move.anchor)[move.direction][3][last]
+            row = line_row(move.direction, move.anchor, variant.alpha)
             place_line(board._line_offsets, board.cover_count, row)
             board.moves.append(move)
         return board
@@ -350,11 +350,8 @@ class Board:
             place_line(self._line_offsets, self.cover_count, row)
             self.moves.append(move)
             return self
-        row = legal.get(move)
-        if row is None:
-            reason = self.legality_failure(move)
-            raise IllegalMoveError(reason or "not currently legal", move)
-
+        # the index holds every legal move, so the direct check of a miss raises
+        row = legal.get(move) or self._checked_row(move)
         cross = move.cross
         _, off, line = row
         reach = self._reach
@@ -375,13 +372,12 @@ class Board:
 
     def undo(self) -> "Board":
         if not self._trail:
-            raise IndexError("undo on a board with no moves")
+            raise IndexError("undo with no move to undo (forced moves cannot be undone)")
         legal = self._legal = self._trail.pop()
         move = self.moves.pop()
         if legal is None:
-            # applied with no index: the row comes from the point table, and
-            # the cross flags wait for the next build
-            row = self._geo.around(move.anchor)[move.direction][3][self.variant.alpha - 1]
+            # applied with no index: the cross flags wait for the next build
+            row = line_row(move.direction, move.anchor, self.variant.alpha)
         else:
             row = legal[move]
             self._flags[self._geo.ids[move.cross]] = 0
@@ -400,25 +396,21 @@ class Board:
         """The row of ``move``'s segment, once the move passes the rules;
         else raise :class:`IllegalMoveError` naming the first violated clause.
 
-        The one direct legality test: it reads neither the legal index nor
-        the cross flags.  The point table is looked up only at a cross of the
-        segment, after every clause but the conflict test has passed, so the
-        only point an illegal move can intern is one of the board's crosses.
+        The one direct legality test: it builds the row with
+        :func:`~morpion.geometry.line_row` and reads neither the legal index,
+        the cross flags nor the point table, so it interns no point.
         """
         cross, d, anchor = move
         crosses = self.crosses
         if cross in crosses:
             raise IllegalMoveError(f"(a): point {cross[0]},{cross[1]} already bears a cross", move)
-        alpha = self.variant.alpha
-        pts = Segment(d, anchor, alpha).points()
+        row = line_row(d, anchor, self.variant.alpha)
+        pts = row[0]
         if cross not in pts:
             raise IllegalMoveError("(b): line does not cover the placed cross", move)
         for p in pts:
             if p != cross and p not in crosses:
                 raise IllegalMoveError(f"(c): point {p[0]},{p[1]} empty", move)
-        # the segment's first cross, at position j along it
-        j = pts[0] == cross
-        row = self._geo.around(pts[j])[d][3][alpha - 1 - j]
         if conflicts(self._line_offsets, self._reach, row[2], row[1]):
             kind = "touches" if not self.variant.touching_allowed else "overlaps"
             raise IllegalMoveError(f"(d): line {kind} an existing same-direction line", move)

@@ -4,6 +4,8 @@
 engine and the line-counting module; :func:`segment_relation` is its reference.
 It reads the sorted anchor offsets per lattice line that :func:`place_line` and
 :func:`lift_line`, the one bookkeeper of placed lines, write with the cover counts.
+The row they take, ``(points, anchor offset, (direction, line key))``, has one
+builder, :func:`line_row`, which works on :data:`LATTICE` arithmetic alone.
 
 Coordinates are integer pairs ``(x, y)`` with x growing rightward and y growing
 upward.  The canonical starting layout for line length 5 occupies [0, 9] x [0, 9];
@@ -177,6 +179,16 @@ def conflicts(offsets: dict, reach: int, line: tuple[Direction, int], offset: in
     if i < len(offs) and offs[i] - offset <= reach:
         return True
     return i > 0 and offset - offs[i - 1] <= reach
+
+
+def line_row(direction: Direction, anchor: Point, length: int) -> tuple:
+    """The line of ``length`` points from ``anchor`` in ``direction`` as the row
+    ``(points, anchor offset, (direction, line key))`` that :func:`place_line` records."""
+    sx, sy = _STEPS[direction]
+    kx, ky, ox, oy = LATTICE[direction]
+    x, y = anchor
+    pts = tuple([(x + i * sx, y + i * sy) for i in range(length)])
+    return (pts, ox * x + oy * y, (direction, kx * x + ky * y))
 
 
 def place_line(offsets: dict, cover: dict, row: tuple) -> None:

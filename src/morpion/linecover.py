@@ -60,6 +60,7 @@ from .geometry import (
     conflicts,
     lift_line,
     line_key,
+    line_row,
     place_line,
     point_at,
     segment_relation,
@@ -76,18 +77,6 @@ class ExactSearchBudgetError(RuntimeError):
 
 # same-direction length-5 lines conflict when their anchors are this close
 _REACH = conflict_reach(5, False)
-
-
-def _row(d: Direction, x: int, y: int) -> tuple:
-    """The length-5 line anchored at ``(x, y)`` in ``d`` as the row that
-    :func:`~morpion.geometry.place_line` records."""
-    sx, sy = d.step
-    kx, ky, ox, oy = LATTICE[d]
-    pts = (
-        (x, y), (x + sx, y + sy), (x + 2 * sx, y + 2 * sy), (x + 3 * sx, y + 3 * sy),
-        (x + 4 * sx, y + 4 * sy),
-    )
-    return (pts, ox * x + oy * y, (d, kx * x + ky * y))
 
 
 RULE_A = "A"
@@ -296,7 +285,7 @@ def min_cover_exact(
 
     anchors = [(x, y) for x in range(window) for y in range(window)]
     active = [d for d in DIRECTIONS if counts[d]]
-    rows = {d: [_row(d, *a) for a in anchors] for d in active}
+    rows = {d: [line_row(d, a, 5) for a in anchors] for d in active}
     cover: dict[Point, int] = {}
     placed_offsets: dict[tuple[Direction, int], list[int]] = {}
     best = total * 5 + 1
@@ -483,11 +472,12 @@ def _improve(layout: Layout) -> Layout:
     points that leave at one end and enter at the other change, so a shift
     gains (leaving points no other line covers) - (entering points nothing
     covers); the first shift of greatest positive gain in the order -2, -1,
-    1, 2 wins.  Each line is kept as the row :func:`~morpion.geometry.place_line`
-    records, and a shift is scored from the cover counts of the points its
-    anchor plus j steps reaches.  A shift can only gain by shedding one of
-    the two points at either end that the line alone covers, so a line with
-    none is skipped before any conflict test.
+    1, 2 wins.  Each line is kept as the row :func:`~morpion.geometry.line_row`
+    builds for :func:`~morpion.geometry.place_line`, and a shift is scored
+    from the cover counts of the points its anchor plus j steps reaches.  A
+    shift can only gain by shedding one of the two points at either end that
+    the line alone covers, so a line with none is skipped before any
+    conflict test.
 
     An addition appends one more line at either end of an existing lattice
     line's packed run, kept while the n+36 slack allows it (each new line
@@ -503,7 +493,7 @@ def _improve(layout: Layout) -> Layout:
     # each line as its place_line row; cover counts per point and sorted
     # offsets per lattice line, kept in step with rows so that each pass is
     # linear in the layout
-    rows = [_row(seg.direction, *seg.anchor) for seg in layout.lines]
+    rows = [line_row(seg.direction, seg.anchor, 5) for seg in layout.lines]
     count: dict[Point, int] = {}
     offsets: dict[tuple[Direction, int], list[int]] = {}
     for row in rows:
@@ -541,7 +531,7 @@ def _improve(layout: Layout) -> Layout:
                     best_delta, best_gain = delta, gain
             bisect.insort(mates, offset)
             if best_delta:
-                moved = _row(d, x + best_delta * sx, y + best_delta * sy)
+                moved = line_row(d, (x + best_delta * sx, y + best_delta * sy), 5)
                 lift_line(offsets, count, row)
                 place_line(offsets, count, moved)
                 rows[i] = moved
@@ -567,7 +557,7 @@ def _improve(layout: Layout) -> Layout:
         slack = len(rows) + 36 - len(count)
         if fresh > slack + 1:
             break
-        add = _row(d, *anchor)
+        add = line_row(d, anchor, 5)
         # only the points add is the first to cover change other offers
         covered = [p for p in add[0] if p not in count]
         rows.append(add)

@@ -26,6 +26,7 @@ from morpion.geometry import (
     Direction,
     Variant,
     initial_crosses,
+    line_row,
     segment_relation,
     segment_through,
 )
@@ -148,10 +149,13 @@ def test_window_table_matches_a_brute_force_count(alpha):
     cross, in every direction, read as the engine reads it (the entry's
     gather over cross flags indexed by the interned ids): the table's windows
     are exactly the segments through the cross that ``segment_through`` finds
-    with one empty point."""
+    with one empty point.  Each row equals the one ``line_row`` builds, so
+    a line placed before a board's index was built is lifted after it, and
+    the reverse."""
     geo = _geometry(alpha)
     origin = (0, 0)
     for d, nbrs, gather, rows in geo.around(origin):
+        assert all(row == line_row(d, row[0][0], alpha) for row in rows)
         for bits in range(2 ** (2 * alpha - 2)):
             crosses = {origin} | {p for k, p in enumerate(nbrs) if (bits >> k) & 1}
             flags = bytearray(len(geo.ids))
@@ -246,6 +250,14 @@ def test_apply_undo_roundtrip_restores_everything():
 def test_undo_on_fresh_board_fails():
     with pytest.raises(IndexError):
         Board(FIVE_D).undo()
+
+
+def test_undo_on_a_forced_board_says_forced_moves_cannot_be_undone():
+    board = Board.force(FIVE_D, [Move((5, 0), Direction.E, (1, 0))], [(x, 0) for x in range(1, 5)])
+    assert board.score == 1
+    with pytest.raises(IndexError, match="no move to undo .forced moves cannot be undone"):
+        board.undo()
+    assert board.score == 1 and board.cover_count == {(x, 0): 1 for x in range(1, 6)}
 
 
 def test_state_key_merges_transposed_orders():
@@ -571,8 +583,9 @@ def test_copies_of_an_unbuilt_board_stay_independent():
 
 @pytest.mark.parametrize("variant", INDEX_VARIANTS)
 def test_an_illegal_move_far_from_an_unbuilt_board_adds_no_point(variant):
-    """The point table grows only with covered points: the direct check
-    rejects a move far from the board before any lookup."""
+    """The point table grows only with the legal-move index: the direct
+    check of a move far from the board, on a board with no index, adds no
+    point."""
     alpha = variant.alpha
     geo = _geometry(alpha)
     boards = [
@@ -595,3 +608,37 @@ def test_an_illegal_move_far_from_an_unbuilt_board_adds_no_point(variant):
             assert board.legality_failure(move) is not None
             assert (len(geo.by_point), len(geo.ids)) == sizes
         assert board._legal is None
+
+
+@pytest.mark.parametrize("variant", INDEX_VARIANTS)
+def test_a_game_played_without_an_index_adds_no_point(variant):
+    """The direct check, undo and ``Board.force`` build rows with
+    ``line_row``, so a whole game played, undone and forced far from every
+    other board leaves the point table as it was."""
+    alpha = variant.alpha
+    geo = _geometry(alpha)
+    # an offset of its own per variant, far from every other test's boards
+    dx, dy = 7 * 10**8 + 10**4 * (2 * alpha + variant.touching_allowed), -3 * 10**8
+
+    def shift(p):
+        return (p[0] + dx, p[1] + dy)
+
+    crosses = [shift(p) for p in initial_crosses(alpha)]
+    moves = [
+        Move(shift(m.cross), m.direction, shift(m.anchor))
+        for m in random_game(variant, 71, 20).moves
+    ]
+    sizes = (len(geo.by_point), len(geo.ids))
+    board = Board(variant, crosses)
+    for move in moves:
+        board.apply(move)
+    assert board._legal is None and board.score == len(moves)
+    offsets = {line: list(offs) for line, offs in board._line_offsets.items()}
+    played = (set(board.crosses), dict(board.cover_count), offsets)
+    while board.moves:
+        board.undo()
+    assert board.crosses == set(crosses) and board.cover_count == {}
+    assert board._line_offsets == {}
+    forced = Board.force(variant, moves, crosses)
+    assert (forced.crosses, forced.cover_count, forced._line_offsets) == played
+    assert (len(geo.by_point), len(geo.ids)) == sizes

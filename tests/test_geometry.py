@@ -25,6 +25,7 @@ from morpion.geometry import (
     lift_line,
     line_key,
     line_offset,
+    line_row,
     place_line,
     point_at,
     segment_relation,
@@ -63,6 +64,7 @@ def test_segment_points_walk_the_step(d, x, y, length):
     assert pts[-1] == seg.last
     sx, sy = d.step
     assert all(b == (a[0] + sx, a[1] + sy) for a, b in zip(pts, pts[1:]))
+    assert line_row(d, (x, y), length) == (pts, seg.offset, (d, seg.key))
 
 
 @given(directions, coords, coords, st.integers(min_value=0, max_value=4))
