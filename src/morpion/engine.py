@@ -17,18 +17,20 @@ has none, and :meth:`Board.apply` tests a move with the one direct check,
 :meth:`Board.legality_failure`: the cross is empty, the segment covers it,
 its other points bear crosses and it conflicts with no placed line.
 ``legal_moves``, ``has_legal_moves`` and ``check_invariants`` build the
-index; from then on the board keeps its legal moves in one dict, from each
-move to its segment's row (points, anchor offset, lattice line), so
-:meth:`Board.apply` tests legality with one lookup;
-:meth:`Board.legal_moves` sorts the dict's keys on read.  ``Board(variant)``
-shares the index of the variant's start board.
+index; from then on the board keeps its legal moves in one list of
+``(move, row)`` pairs, the row being the move's segment (points, anchor
+offset, lattice line), strictly increasing in the canonical move order.
+:meth:`Board.apply` finds a move by bisection, and
+:meth:`Board.legal_moves` reads the moves off in order, with no sort.
+``Board(variant)`` shares the index of the variant's start board.
 
 A position has about ten legal moves, so :meth:`Board.apply` filters the
-parent's dict into a new one, dropping the moves whose one empty point is
-the new cross and the moves the drawn line conflicts with, then enters the
-moves the new cross makes legal.  A dict, once published, is never mutated:
-the undo trail keeps the parent's (``None`` for a move applied before the
-index was built), so :meth:`Board.undo` restores it by assignment, and
+parent's list into a new one, dropping the moves whose one empty point is
+the new cross and the moves the drawn line conflicts with, then inserts the
+moves the new cross makes legal in order.  A list, once published, is never
+mutated: the undo trail keeps the parent's (``None`` for a move applied
+before the index was built), so :meth:`Board.undo` restores it by
+assignment and bisects it for the undone move's row, and
 :meth:`Board.copy` and ``Board(variant)`` share it.
 
 Applying a move can only validate segments through its cross that had two
@@ -71,6 +73,7 @@ independent reference; all of them share the one conflict test, and
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, NamedTuple
@@ -140,6 +143,10 @@ _Row = tuple[tuple[Point, ...], int, tuple[Direction, int]]
 # a point along one direction: (direction, its neighbours, a getter of their
 # cross flags, the rows of the segments through it), all in _Windows order
 _Around = tuple[Direction, tuple[Point, ...], itemgetter, tuple[_Row, ...]]
+# a legal-move index entry; a list of them sorts by move, the canonical order
+_Entry = tuple["Move", _Row]
+
+_move_of = itemgetter(0)
 
 
 class _Windows(dict):
@@ -232,7 +239,8 @@ _START: dict[Variant, "Board"] = {}
 
 class Board:
     """Mutable game state with a legal-move index built on first read and
-    maintained incrementally from then on.
+    maintained incrementally from then on: one list of ``(move, row)``
+    pairs in canonical move order, replaced on each move, never mutated.
 
     Without ``crosses`` the board starts from the variant's standard crosses,
     copied from a start board built once per process, index included; with
@@ -277,11 +285,11 @@ class Board:
         # cross, 0 elsewhere; as long as the ids were when the board last
         # entered a cross
         self._flags = bytearray()
-        # legal move -> its segment's row, None until something reads it;
-        # replaced, never mutated, once published
-        self._legal: dict[Move, _Row] | None = None
-        # the legal dict (None before the index was built) before each move
-        self._trail: list[dict[Move, _Row] | None] = []
+        # (legal move, its segment's row) in canonical move order, None until
+        # something reads it; replaced, never mutated, once published
+        self._legal: list[_Entry] | None = None
+        # the legal list (None before the index was built) before each move
+        self._trail: list[list[_Entry] | None] = []
 
     @classmethod
     def force(
@@ -319,7 +327,7 @@ class Board:
 
     def legal_moves(self) -> list[Move]:
         """All legal moves, canonically sorted by (cross, direction, anchor)."""
-        return sorted(self._index())
+        return list(map(_move_of, self._index()))
 
     def has_legal_moves(self) -> bool:
         return bool(self._index())
@@ -350,24 +358,29 @@ class Board:
             place_line(self._line_offsets, self.cover_count, row)
             self.moves.append(move)
             return self
-        # the index holds every legal move, so the direct check of a miss raises
-        row = legal.get(move) or self._checked_row(move)
+        i = bisect_left(legal, (move,))
+        if i < len(legal) and legal[i][0] == move:
+            row = legal[i][1]
+        else:
+            # the index holds every legal move, so the direct check raises
+            row = self._checked_row(move)
         cross = move.cross
         _, off, line = row
         reach = self._reach
         # drop the moves whose one empty point is the new cross, this one
         # included, and those the drawn line conflicts with
         self._trail.append(legal)
-        self._legal = {
-            m: r
-            for m, r in legal.items()
-            if m[0] != cross and (r[2] != line or abs(r[1] - off) > reach)
-        }
+        child = self._legal = [
+            e
+            for e in legal
+            if e[0][0] != cross and (e[1][2] != line or abs(e[1][1] - off) > reach)
+        ]
         self.crosses.add(cross)
         self._flags[self._geo.ids[cross]] = 1
         place_line(self._line_offsets, self.cover_count, row)
         self.moves.append(move)
-        self._enter_legal(cross, move.direction)
+        for e in self._enter_legal(cross, move.direction):
+            insort(child, e)
         return self
 
     def undo(self) -> "Board":
@@ -379,7 +392,7 @@ class Board:
             # applied with no index: the cross flags wait for the next build
             row = line_row(move.direction, move.anchor, self.variant.alpha)
         else:
-            row = legal[move]
+            row = legal[bisect_left(legal, (move,))][1]
             self._flags[self._geo.ids[move.cross]] = 0
         lift_line(self._line_offsets, self.cover_count, row)
         self.crosses.discard(move.cross)
@@ -416,7 +429,7 @@ class Board:
             raise IllegalMoveError(f"(d): line {kind} an existing same-direction line", move)
         return row
 
-    def _index(self) -> dict[Move, _Row]:
+    def _index(self) -> list[_Entry]:
         """The legal-move index, built on the first read."""
         if self._legal is None:
             self._rebuild_legal()
@@ -435,16 +448,16 @@ class Board:
         self._legal = other._legal
         self._trail = list(other._trail)
 
-    def _enter_legal(self, cross: Point, drawn: Direction | None) -> None:
-        """Enter the legal moves through the cross at ``cross`` into the
-        board's legal dict, which must not be published yet.
+    def _enter_legal(self, cross: Point, drawn: Direction | None) -> list[_Entry]:
+        """The legal moves through the cross at ``cross``, as index entries.
 
         They are the windows through ``cross`` with one empty point that
         conflict with no placed line; a window through a new cross had it
-        empty, so :meth:`apply` has already dropped its old move.  Each
-        direction's neighbour pattern is one gather from the cross flags,
-        which must already flag every cross; they grow first to the ids that
-        ``around`` or another board has interned since they were sized.
+        empty, so :meth:`apply` has already dropped its old move and inserts
+        these without duplicates.  Each direction's neighbour pattern is one
+        gather from the cross flags, which must already flag every cross;
+        they grow first to the ids that ``around`` or another board has
+        interned since they were sized.
         ``drawn`` is the direction of a line just drawn through ``cross``:
         under the D rule every window along it shares the cross with that
         line, so none is tested.
@@ -456,7 +469,7 @@ class Board:
         grow = len(geo.ids) - len(flags)
         if grow > 0:
             flags.extend(bytes(grow))
-        legal = self._legal
+        found = []
         windows = geo.windows
         offsets = self._line_offsets
         reach = self._reach
@@ -466,12 +479,14 @@ class Board:
             for i, k in windows[gather(flags)]:
                 row = rows[i]
                 if not conflicts(offsets, reach, row[2], row[1]):
-                    legal[Move(nbrs[k], d, row[0][0])] = row
+                    found.append((Move(nbrs[k], d, row[0][0]), row))
+        return found
 
     def _rebuild_legal(self) -> None:
         """Index every legal move from scratch, on the index's first read.
 
-        A legal segment covers at least two crosses and is met through each.
+        A legal segment covers at least two crosses and is met through each,
+        so the moves are gathered in a dict and published sorted once.
         Every cross is flagged before the first is entered, since an
         unflagged cross would read as an empty point.
         """
@@ -482,9 +497,10 @@ class Board:
         flags = self._flags = bytearray(len(ids))
         for cross in self.crosses:
             flags[ids[cross]] = 1
-        self._legal = {}
+        found: dict[Move, _Row] = {}
         for cross in self.crosses:
-            self._enter_legal(cross, None)
+            found.update(self._enter_legal(cross, None))
+        self._legal = sorted(found.items())
 
     def check_invariants(self) -> None:
         """Full consistency audit; raises AssertionError on any mismatch.
@@ -493,7 +509,8 @@ class Board:
         index if nothing has read it yet.  Derives every expectation of the
         lines and the legal index from the segment geometry, never from the
         shared tables; the cross flags are checked against ``crosses``
-        through the interned ids.
+        through the interned ids, and the index must be strictly increasing
+        in the canonical move order.
         """
         legal = self._index()
         alpha = self.variant.alpha
@@ -539,7 +556,10 @@ class Board:
                         self._line_offsets, self._reach, line, seg.offset
                     ):
                         fresh[Move(empty[0], d, seg.anchor)] = (seg.points(), seg.offset, line)
-        assert fresh == legal, "incremental legal index diverged from rebuild"
+        assert all(a[0] < b[0] for a, b in zip(legal, legal[1:])), (
+            "legal index out of canonical order"
+        )
+        assert dict(legal) == fresh, "incremental legal index diverged from rebuild"
 
 
 def replay(record: GameRecord) -> Board:

@@ -226,7 +226,7 @@ def test_apply_undo_roundtrip_restores_everything():
         set(board.crosses),
         list(board.lines),
         board.state_key(),
-        set(board.legal_moves()),
+        board.legal_moves(),
     )
     depth = 0
     while depth < 30:
@@ -242,7 +242,7 @@ def test_apply_undo_roundtrip_restores_everything():
         set(board.crosses),
         list(board.lines),
         board.state_key(),
-        set(board.legal_moves()),
+        board.legal_moves(),
     ) == baseline
     board.check_invariants()
 
@@ -276,8 +276,8 @@ def test_state_key_merges_transposed_orders():
 
 
 def test_copy_is_independent():
-    # a board and its copy share one legal dict, so a step on either that
-    # edited it in place would show in the other's audit
+    # a board and its copy share one legal-move list, so a step on either
+    # that edited it in place would show in the other's audit
     rng = random.Random(3)
     board = Board(FIVE_D)
     for _ in range(3):
@@ -302,6 +302,41 @@ def test_copy_is_independent():
         board.check_invariants()
         clone.check_invariants()
     assert clone.legal_moves() == Board(FIVE_D).legal_moves()
+
+
+def test_legal_moves_returns_a_fresh_list():
+    board = Board(FIVE_D)
+    moves = board.legal_moves()
+    expected = tuple(moves)
+    moves.clear()
+    assert tuple(board.legal_moves()) == expected
+    board.apply(expected[0])
+    board.check_invariants()
+
+
+@pytest.mark.parametrize("fan_out", ["copy", "start"])
+def test_play_on_a_fan_out_leaves_the_published_lists_unchanged(fan_out):
+    # every published legal-move list is shared: by a board's copies, its
+    # undo trail and, for the start list, by every Board(variant)
+    start = Board(FIVE_D)._legal
+    start_snapshot = tuple(start)
+    rng = random.Random(11)
+    parent = Board(FIVE_D)
+    for _ in range(3):
+        parent.apply(rng.choice(parent.legal_moves()))
+    published = [parent._legal, *parent._trail]
+    snapshots = [tuple(legal) for legal in published]
+    child = parent.copy() if fan_out == "copy" else Board(FIVE_D)
+    for _ in range(5):
+        child.apply(rng.choice(child.legal_moves()))
+    while child.moves:
+        child.undo()
+    child.apply(rng.choice(child.legal_moves()))
+    assert [tuple(legal) for legal in published] == snapshots
+    assert parent._legal is published[0]
+    assert tuple(start) == start_snapshot
+    assert Board(FIVE_D)._legal is start
+    parent.check_invariants()
 
 
 def test_replay_roundtrip_and_error_index():
@@ -438,6 +473,16 @@ def test_check_invariants_rejects_a_flipped_cross_flag(flip):
     point = board.moves[0].cross if flip == "cross" else board.legal_moves()[0].cross
     board._flags[ids[point]] ^= 1
     with pytest.raises(AssertionError, match="cross flags out of sync"):
+        board.check_invariants()
+
+
+def test_check_invariants_rejects_an_index_out_of_order():
+    board = Board(FIVE_D)
+    board.apply(board.legal_moves()[0])
+    legal = list(board._legal)
+    legal[0], legal[1] = legal[1], legal[0]
+    board._legal = legal
+    with pytest.raises(AssertionError, match="legal index out of canonical order"):
         board.check_invariants()
 
 

@@ -143,6 +143,20 @@ def test_beam_width_dominance_pin():
     assert not board.has_legal_moves()
 
 
+def moves_digest(moves):
+    """sha256 of the move list, so a search that reorders its candidates fails."""
+    lines = [(m.cross, int(m.direction), m.anchor) for m in moves]
+    return hashlib.sha256(repr(lines).encode()).hexdigest()
+
+
+def test_beam_width_16_pin():
+    r = beam_search(FIVE_D, 16, 0)
+    assert (r.best_score, r.nodes_expanded) == (57, 11_219)  # pinned on seed 0
+    assert moves_digest(r.best_record.moves) == (
+        "dc8284d238dc20dbdc066236b3ed13a9ff91f8b464ac8966fece934ad2d3f92b"
+    )
+
+
 def test_beam_determinism():
     a = beam_search(FIVE_D, 16, 3)
     b = beam_search(FIVE_D, 16, 3)
@@ -154,7 +168,11 @@ def test_nmcs_level1_pin_and_determinism():
     a = nmcs(FIVE_D, 1, 0)
     b = nmcs(FIVE_D, 1, 0)
     assert a.best_score == b.best_score == 61  # pinned on seed 0
+    assert a.nodes_expanded == b.nodes_expanded == 18_314
     assert a.best_record.moves == b.best_record.moves
+    assert moves_digest(a.best_record.moves) == (
+        "9a0f650e5e2781f1ce4e9187f27ce36781c498dbb4ec090fe4987cfd24d8e517"
+    )
     assert a.stopped_reason == "complete"
     assert_well_formed(a.best_record)
 
