@@ -156,6 +156,8 @@ def _parse_rules(text: str) -> frozenset:
 
 
 def _cmd_scan(args) -> int:
+    if args.max_n < 1:
+        raise ValueError(f"--max must be at least 1, got {args.max_n}")
     rules = _parse_rules(args.rules)
     rows = scan_table(rules, args.max_n)
     print("   N  rule           c'(N)   N+36  feasible")

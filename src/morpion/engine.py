@@ -16,13 +16,15 @@ asked for its moves (a replay, ``Board(variant, crosses)``, ``Board.force``)
 has none, and :meth:`Board.apply` tests a move with the one direct check,
 :meth:`Board.legality_failure`: the cross is empty, the segment covers it,
 its other points bear crosses and it conflicts with no placed line.
-``legal_moves``, ``has_legal_moves`` and ``check_invariants`` build the
-index; from then on the board keeps its legal moves in one list of
-``(move, row)`` pairs, the row being the move's segment (points, anchor
-offset, lattice line), strictly increasing in the canonical move order.
-:meth:`Board.apply` finds a move by bisection, and
-:meth:`Board.legal_moves` reads the moves off in order, with no sort.
-``Board(variant)`` shares the index of the variant's start board.
+``legal_moves``, ``legal_count``, ``has_legal_moves``, ``apply_at`` and
+``check_invariants`` build the index; from then on the board keeps its legal
+moves in one list of ``(move, row)`` pairs, the row being the move's segment
+(points, anchor offset, lattice line), strictly increasing in the canonical
+move order.  :meth:`Board.apply` finds a move by bisection,
+:meth:`Board.apply_at` takes the ``i``-th entry as it stands, and the two
+share one body; :meth:`Board.legal_moves` reads the moves off in order,
+with no sort.  ``Board(variant)`` shares the index of the variant's start
+board.
 
 A position has about ten legal moves, so :meth:`Board.apply` filters the
 parent's list into a new one, dropping the moves whose one empty point is
@@ -35,33 +37,34 @@ assignment and bisects it for the undone move's row, and
 
 Applying a move can only validate segments through its cross that had two
 empty points.  For each direction, the cross flags of the ``2 * alpha - 2``
-neighbours of the cross along it form a pattern, a tuple of 0s and 1s; a
-table per line length maps each pattern to the windows through the cross
-that it leaves with exactly one empty point, and to where that point is.
-The table depends on nothing but ``alpha``, so :meth:`Board.undo` has
-nothing to reverse in it.
+neighbours of the cross along it form a pattern, a tuple of 0s and 1s, and
+the pattern fixes the windows through the cross that it leaves with exactly
+one empty point.  One table per line length, shared by every board in the
+process, holds for a point, per direction, an ``operator.itemgetter`` of its
+neighbours' ids and a table of entries: it maps each pattern seen there to
+the ready ``(move, row)`` index entries of those windows, built the first
+time the pattern is seen, so a scan builds no ``Move``.  An entry depends on
+nothing but the lattice, so :meth:`Board.undo` has nothing to reverse in it.
 
-The point geometry comes from one table per line length, shared by every
-board in the process: for a point, per direction, its neighbours, an
-``operator.itemgetter`` of their ids, and the rows of the ``alpha`` segments
-through it.  The table interns each point it names as a small int id, and
-each board keeps a ``bytearray`` of cross flags indexed by those ids, the
-hot-path index of its ``crosses`` set: while the legal-move index is built,
+The table interns each point it names as a small int id, and each board
+keeps a ``bytearray`` of cross flags indexed by those ids, the hot-path
+index of its ``crosses`` set: while the legal-move index is built,
 ``apply`` and ``undo`` store one byte each, and a direction's pattern is one
 C-level gather, the neighbours' itemgetter applied to the flags; building
 the index writes them afresh.  Ids are interned by every board in the
 process, so a board's flags grow to the current ids before each read.
-The tables fill lazily, the pattern table on the first use of a pattern and
-the point table on the first use of a point.  Only the legal-move index
-interns points: building it interns every cross, and an indexed
-:meth:`Board.apply` its new cross.  The direct check, ``Board.force`` and the
-undo of a move applied before the index was built take their rows from
-:func:`~morpion.geometry.line_row` and intern nothing, so the point table is
-bounded by the crosses of the boards whose index was built, and the ids by
-those points and their ``2 * alpha - 2`` neighbours per direction.  A table
-row equals the row ``line_row`` builds, so a line placed before the index
-was built is lifted after it, and the reverse.  ``Board(variant)`` at the
-standard start copies one prototype board per variant and process.
+The tables fill lazily, a point on its first use and a pattern on its
+first use at that point and direction.  Only the legal-move index reads
+them: building it interns every cross, and an indexed :meth:`Board.apply`
+its new cross.  The direct check, ``Board.force`` and the undo of a move
+applied before the index was built take their rows from
+:func:`~morpion.geometry.line_row` and intern nothing and fill no entry, so
+the tables are bounded by the crosses of the boards whose index was built
+and the patterns seen around them, and the ids by those points and their
+``2 * alpha - 2`` neighbours per direction.  An entry's row equals the row
+``line_row`` builds, so a line placed before the index was built is lifted
+after it, and the reverse.  ``Board(variant)`` at the standard start copies
+one prototype board per variant and process.
 
 The indexed ``apply`` and ``undo`` and the legal-index build read only
 from the tables and the flags.  :meth:`Board.check_invariants` derives
@@ -140,63 +143,73 @@ class GameRecord:
 
 # a segment: (its points from the anchor, anchor offset, (direction, line key))
 _Row = tuple[tuple[Point, ...], int, tuple[Direction, int]]
-# a point along one direction: (direction, its neighbours, a getter of their
-# cross flags, the rows of the segments through it), all in _Windows order
-_Around = tuple[Direction, tuple[Point, ...], itemgetter, tuple[_Row, ...]]
 # a legal-move index entry; a list of them sorts by move, the canonical order
 _Entry = tuple["Move", _Row]
+# a point along one direction: (direction, a getter of its neighbours' cross
+# flags as one pattern, the table from each pattern to its index entries)
+_Around = tuple[Direction, itemgetter, "_Entries"]
 
 _move_of = itemgetter(0)
 
 
-class _Windows(dict):
-    """Neighbour pattern -> the windows through a cross that it leaves with
-    one empty point; filled on first use of each pattern.
+class _Entries(dict):
+    """Neighbour pattern -> the legal-move index entries that it makes along
+    one direction through one point; filled on first use of each pattern.
 
     A pattern is the tuple of the neighbours' cross flags that a board's
-    gather returns: ``pattern[k]`` is 1 when neighbour ``k`` of the cross
+    gather returns: ``pattern[k]`` is 1 when neighbour ``k`` of the point
     bears a cross and 0 when it is empty.  The ``2 * alpha - 2`` neighbours
-    are the points ``alpha - 1`` steps or fewer from the cross along one
-    direction, in step order, the cross itself left out.  Window ``i`` is the
-    segment anchored at line position ``i`` (the cross is at ``alpha - 1``);
-    it covers neighbours ``i`` to ``i + alpha - 2``.  Each hit is ``(i, k)``,
-    ``k`` the window's one empty neighbour, in increasing ``i``.
+    (``nbrs``) are the points ``alpha - 1`` steps or fewer from the point
+    along ``direction``, in step order, the point itself left out.  Window
+    ``i`` is the segment anchored at line position ``i`` (the point is at
+    ``alpha - 1``), its row ``rows[i]``; it covers neighbours ``i`` to
+    ``i + alpha - 2``.  A pattern maps to one ``(move, row)`` entry per
+    window with exactly one empty neighbour, that neighbour being the move's
+    cross, in increasing ``i``.  An entry depends on nothing but the lattice
+    and the pattern, so every board shares it and :meth:`Board.undo` has
+    nothing to reverse in it.
     """
 
-    def __init__(self, alpha: int):
-        super().__init__()
-        self.alpha = alpha
+    __slots__ = ("direction", "nbrs", "rows")
 
-    def __missing__(self, pattern: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-        alpha = self.alpha
+    def __init__(self, direction: Direction, nbrs: tuple[Point, ...], rows: tuple[_Row, ...]):
+        super().__init__()
+        self.direction = direction
+        self.nbrs = nbrs
+        self.rows = rows
+
+    def __missing__(self, pattern: tuple[int, ...]) -> tuple[_Entry, ...]:
+        rows = self.rows
+        alpha = len(rows)
         found = []
-        for i in range(alpha):
+        for i, row in enumerate(rows):
             empty = [k for k in range(i, i + alpha - 1) if not pattern[k]]
             if len(empty) == 1:
-                found.append((i, empty[0]))
-        hits = self[pattern] = tuple(found)
-        return hits
+                found.append((Move(self.nbrs[empty[0]], self.direction, row[0][0]), row))
+        entries = self[pattern] = tuple(found)
+        return entries
 
 
 class _Geometry:
     """Point tables for one line length; :meth:`around` fills what it misses."""
 
-    __slots__ = ("alpha", "by_point", "ids", "windows")
+    __slots__ = ("alpha", "by_point", "ids")
 
     def __init__(self, alpha: int):
         self.alpha = alpha
         self.by_point: dict[Point, tuple[_Around, ...]] = {}
         # point -> its index in every board's cross flags, in order of first use
         self.ids: dict[Point, int] = {}
-        self.windows = _Windows(alpha)
 
     def around(self, point: Point) -> tuple[_Around, ...]:
-        """Per direction, in ``Direction`` order: the point's neighbours, the
-        getter that reads their flags from a board's cross flags as one
-        ``_Windows`` pattern, and the rows of the segments through the point,
-        row ``alpha - 1`` anchored at the point itself.
+        """Per direction, in ``Direction`` order: the getter that reads the
+        point's neighbours' flags from a board's cross flags as one pattern,
+        and the point's :class:`_Entries` table, which maps that pattern to
+        the legal-move index entries it makes through the point.
 
-        The first call for a point interns it and its neighbours in ``ids``.
+        The first call for a point interns it and its neighbours in ``ids``
+        and builds the rows of the ``alpha`` segments through it, which the
+        table's entries share.
         """
         found = self.by_point.get(point)
         if found is None:
@@ -216,7 +229,7 @@ class _Geometry:
                     for i in range(alpha)
                 )
                 gather = itemgetter(*[ids[p] for p in nbrs])
-                per_direction.append((d, nbrs, gather, rows))
+                per_direction.append((d, gather, _Entries(d, nbrs, rows)))
             found = self.by_point[point] = tuple(per_direction)
         return found
 
@@ -332,6 +345,10 @@ class Board:
     def has_legal_moves(self) -> bool:
         return bool(self._index())
 
+    def legal_count(self) -> int:
+        """``len(legal_moves())``, without building the list."""
+        return len(self._index())
+
     def legality_failure(self, move: Move) -> str | None:
         """The first violated clause, or None when the move is legal."""
         try:
@@ -360,10 +377,25 @@ class Board:
             return self
         i = bisect_left(legal, (move,))
         if i < len(legal) and legal[i][0] == move:
-            row = legal[i][1]
-        else:
-            # the index holds every legal move, so the direct check raises
-            row = self._checked_row(move)
+            return self._play(legal, legal[i])
+        # the index holds every legal move, so the direct check raises
+        return self._play(legal, (move, self._checked_row(move)))
+
+    def apply_at(self, i: int) -> "Board":
+        """Apply ``legal_moves()[i]``, without building the list or searching
+        the index for the move; builds the index if nothing has read it yet.
+
+        ``i`` must be in ``range(len(legal_moves()))``: a negative ``i`` raises
+        ``IndexError`` rather than counting from the end.
+        """
+        legal = self._index()
+        if not 0 <= i < len(legal):
+            raise IndexError(f"move index {i} out of range for {len(legal)} legal moves")
+        return self._play(legal, legal[i])
+
+    def _play(self, legal: list[_Entry], entry: _Entry) -> "Board":
+        """Apply ``entry``'s move on an indexed board whose index is ``legal``."""
+        move, row = entry
         cross = move.cross
         _, off, line = row
         reach = self._reach
@@ -455,7 +487,9 @@ class Board:
         conflict with no placed line; a window through a new cross had it
         empty, so :meth:`apply` has already dropped its old move and inserts
         these without duplicates.  Each direction's neighbour pattern is one
-        gather from the cross flags, which must already flag every cross;
+        gather from the cross flags, and one lookup in the point's
+        :class:`_Entries` table gives its entries, ready to test for
+        conflicts and insert.  The flags must already flag every cross;
         they grow first to the ids that ``around`` or another board has
         interned since they were sized.
         ``drawn`` is the direction of a line just drawn through ``cross``:
@@ -470,16 +504,15 @@ class Board:
         if grow > 0:
             flags.extend(bytes(grow))
         found = []
-        windows = geo.windows
         offsets = self._line_offsets
         reach = self._reach
-        for d, nbrs, gather, rows in around:
+        for d, gather, table in around:
             if d is skip:
                 continue
-            for i, k in windows[gather(flags)]:
-                row = rows[i]
+            for e in table[gather(flags)]:
+                row = e[1]
                 if not conflicts(offsets, reach, row[2], row[1]):
-                    found.append((Move(nbrs[k], d, row[0][0]), row))
+                    found.append(e)
         return found
 
     def _rebuild_legal(self) -> None:

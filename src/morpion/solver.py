@@ -104,11 +104,16 @@ def record_from_board(board: Board, **metadata: str) -> GameRecord:
 
 def _playout(board: Board, rng: Stream, tick: Callable | None = None) -> Board:
     """Play uniformly random legal moves in place until none remain, calling
-    ``tick(board)`` before each."""
-    while moves := board.legal_moves():
+    ``tick(board)`` before each.
+
+    Each step draws one position ``rng.integers(0, n)`` among the ``n`` legal
+    moves in canonical order and applies the move there by position, so no
+    step builds the move list or searches the index for the move.
+    """
+    while n := board.legal_count():
         if tick is not None:
             tick(board)
-        board.apply(moves[rng.integers(0, len(moves))])
+        board.apply_at(rng.integers(0, n))
     return board
 
 

@@ -350,6 +350,13 @@ def test_pack_reports_and_writes_layout(capsys, tmp_path):
     assert layout.line_count == n
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_scan_names_the_least_max_that_works(capsys, value):
+    code, out, err = run(capsys, "scan", f"--max={value}")
+    assert (code, out) == (2, "")
+    assert err == f"error: --max must be at least 1, got {value}\n"
+
+
 def test_pack_names_the_least_max_that_works(capsys):
     code, out, err = run(capsys, "pack", "--max=3")
     assert (code, out) == (2, "")

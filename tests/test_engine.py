@@ -146,31 +146,37 @@ def test_standard_start_is_untouched_by_play_on_another_board(variant):
 @pytest.mark.parametrize("alpha", [3, 4, 5, 6])
 def test_window_table_matches_a_brute_force_count(alpha):
     """Every pattern of crosses on the 2 * alpha - 2 neighbours of a new
-    cross, in every direction, read as the engine reads it (the entry's
-    gather over cross flags indexed by the interned ids): the table's windows
-    are exactly the segments through the cross that ``segment_through`` finds
-    with one empty point.  Each row equals the one ``line_row`` builds, so
-    a line placed before a board's index was built is lifted after it, and
-    the reverse."""
+    cross, in every direction, read as the engine reads it (the gather over
+    cross flags indexed by the interned ids): the table's entries are exactly
+    the segments through the cross that ``segment_through`` finds with one
+    empty point, each as the move that places that point and the row
+    ``line_row`` builds, so a line placed before a board's index was built
+    is lifted after it, and the reverse."""
     geo = _geometry(alpha)
     origin = (0, 0)
-    for d, nbrs, gather, rows in geo.around(origin):
-        assert all(row == line_row(d, row[0][0], alpha) for row in rows)
+    around = geo.around(origin)
+    assert [d for d, _, _ in around] == list(DIRECTIONS)
+    for d, gather, table in around:
+        sx, sy = d.step
+        steps = [t for t in range(1 - alpha, alpha) if t]
+        assert table.nbrs == tuple((t * sx, t * sy) for t in steps)
         for bits in range(2 ** (2 * alpha - 2)):
-            crosses = {origin} | {p for k, p in enumerate(nbrs) if (bits >> k) & 1}
+            crosses = {origin} | {p for k, p in enumerate(table.nbrs) if (bits >> k) & 1}
             flags = bytearray(len(geo.ids))
             for p in crosses:
                 flags[geo.ids[p]] = 1
             pattern = gather(flags)
-            assert pattern == tuple(int(p in crosses) for p in nbrs)
-            expected = set()
+            assert pattern == tuple(int(p in crosses) for p in table.nbrs)
+            expected = []
             for shift in range(alpha):
                 seg = segment_through(d, origin, shift, alpha)
                 empty = [p for p in seg.points() if p not in crosses]
                 if len(empty) == 1:
-                    expected.add((seg.points(), empty[0]))
-            hits = geo.windows[pattern]
-            assert {(rows[i][0], nbrs[k]) for i, k in hits} == expected
+                    move = Move(empty[0], d, seg.anchor)
+                    expected.append((move, line_row(d, seg.anchor, alpha)))
+            entries = table[pattern]
+            assert sorted(entries) == sorted(expected)
+            assert table[pattern] is entries
 
 
 def test_first_move_example_legal():
@@ -500,6 +506,13 @@ def random_game(variant, seed, limit):
     return board
 
 
+def table_sizes(geo):
+    """Points in the point table, interned ids, and patterns in the entry
+    tables of every point and direction."""
+    patterns = sum(len(table) for around in geo.by_point.values() for _, _, table in around)
+    return len(geo.by_point), len(geo.ids), patterns
+
+
 def unbuilt(variant, moves):
     board = replay(GameRecord(variant, list(moves)))
     assert board._legal is None
@@ -630,7 +643,7 @@ def test_copies_of_an_unbuilt_board_stay_independent():
 def test_an_illegal_move_far_from_an_unbuilt_board_adds_no_point(variant):
     """The point table grows only with the legal-move index: the direct
     check of a move far from the board, on a board with no index, adds no
-    point."""
+    point and no pattern."""
     alpha = variant.alpha
     geo = _geometry(alpha)
     boards = [
@@ -645,13 +658,13 @@ def test_an_illegal_move_far_from_an_unbuilt_board_adds_no_point(variant):
         Move(far, Direction.N, near),  # (b): the line misses the cross
         Move((near[0] + 1, 10**9), Direction.N, (near[0] + 1, near[1])),
     ]
-    sizes = (len(geo.by_point), len(geo.ids))
+    sizes = table_sizes(geo)
     for board in boards:
         for move in moves:
             with pytest.raises(IllegalMoveError):
                 board.apply(move)
             assert board.legality_failure(move) is not None
-            assert (len(geo.by_point), len(geo.ids)) == sizes
+            assert table_sizes(geo) == sizes
         assert board._legal is None
 
 
@@ -659,7 +672,8 @@ def test_an_illegal_move_far_from_an_unbuilt_board_adds_no_point(variant):
 def test_a_game_played_without_an_index_adds_no_point(variant):
     """The direct check, undo and ``Board.force`` build rows with
     ``line_row``, so a whole game played, undone and forced far from every
-    other board leaves the point table as it was."""
+    other board leaves the point table, the ids and the entry tables as
+    they were."""
     alpha = variant.alpha
     geo = _geometry(alpha)
     # an offset of its own per variant, far from every other test's boards
@@ -673,7 +687,7 @@ def test_a_game_played_without_an_index_adds_no_point(variant):
         Move(shift(m.cross), m.direction, shift(m.anchor))
         for m in random_game(variant, 71, 20).moves
     ]
-    sizes = (len(geo.by_point), len(geo.ids))
+    sizes = table_sizes(geo)
     board = Board(variant, crosses)
     for move in moves:
         board.apply(move)
@@ -686,4 +700,55 @@ def test_a_game_played_without_an_index_adds_no_point(variant):
     assert board._line_offsets == {}
     forced = Board.force(variant, moves, crosses)
     assert (forced.crosses, forced.cover_count, forced._line_offsets) == played
-    assert (len(geo.by_point), len(geo.ids)) == sizes
+    assert table_sizes(geo) == sizes
+
+
+@pytest.mark.parametrize("variant", INDEX_VARIANTS)
+def test_apply_at_equals_applying_the_listed_move(variant):
+    """On every 5th position of a seeded game, ``apply_at(i)`` equals
+    ``copy().apply(legal_moves()[i])`` for every ``i``: on the played board,
+    and on a replayed and a forced board that have no index until
+    ``apply_at`` builds it.  ``undo`` restores the parent's index."""
+    game = random_game(variant, 73, 10**6).moves
+    start = initial_crosses(variant.alpha)
+    for depth in range(0, len(game) + 1, 5):
+        prefix = game[:depth]
+        played = Board(variant)
+        for move in prefix:
+            played.apply(move)
+        sources = [
+            played.copy,
+            lambda: unbuilt(variant, prefix),
+            lambda: Board.force(variant, prefix, start),
+        ]
+        moves = played.legal_moves()
+        parent = played._legal
+        for i, move in enumerate(moves):
+            ref = played.copy().apply(move)
+            ref.check_invariants()
+            for source in sources:
+                board = source()
+                board.apply_at(i)
+                assert board.moves == ref.moves and board.crosses == ref.crosses
+                assert board._legal == ref._legal
+                board.undo()
+                assert board._legal == parent and board.legal_moves() == moves
+            board.check_invariants()
+
+
+def test_apply_at_rejects_a_position_outside_the_list():
+    """A negative or too large position raises ``IndexError`` and leaves the
+    board as it was; it never counts from the end."""
+    boards = [Board(FIVE_D), unbuilt(FIVE_D, random_game(FIVE_D, 79, 12).moves)]
+    terminal = random_game(FIVE_D, 83, 10**6)
+    assert terminal.legal_count() == 0
+    boards.append(terminal)
+    for board in boards:
+        n = board.legal_count()
+        assert n == len(board.legal_moves())
+        before = (list(board.moves), set(board.crosses), board._legal)
+        for i in (-1, -n, n, n + 1):
+            with pytest.raises(IndexError):
+                board.apply_at(i)
+            assert (board.moves, board.crosses, board._legal) == before
+        board.check_invariants()
