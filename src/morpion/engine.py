@@ -43,7 +43,8 @@ one empty point.  One table per line length, shared by every board in the
 process, holds for a point, per direction, an ``operator.itemgetter`` of its
 neighbours' ids and a table of entries: it maps each pattern seen there to
 the ready ``(move, row)`` index entries of those windows, built the first
-time the pattern is seen, so a scan builds no ``Move``.  An entry depends on
+time the pattern is seen, so a scan builds no ``Move``; the tables of one
+line length hand out one entry per move.  An entry depends on
 nothing but the lattice, so :meth:`Board.undo` has nothing to reverse in it.
 
 The table interns each point it names as a small int id, and each board
@@ -165,27 +166,40 @@ class _Entries(dict):
     ``alpha - 1``), its row ``rows[i]``; it covers neighbours ``i`` to
     ``i + alpha - 2``.  A pattern maps to one ``(move, row)`` entry per
     window with exactly one empty neighbour, that neighbour being the move's
-    cross, in increasing ``i``.  An entry depends on nothing but the lattice
-    and the pattern, so every board shares it and :meth:`Board.undo` has
-    nothing to reverse in it.
+    cross, in increasing ``i``.  An entry depends on nothing but the lattice,
+    so every board shares it and :meth:`Board.undo` has nothing to reverse
+    in it; ``shared``, one dict per line length, hands every pattern and
+    point that makes a move the same entry.
     """
 
-    __slots__ = ("direction", "nbrs", "rows")
+    __slots__ = ("direction", "nbrs", "rows", "shared")
 
-    def __init__(self, direction: Direction, nbrs: tuple[Point, ...], rows: tuple[_Row, ...]):
+    def __init__(
+        self,
+        direction: Direction,
+        nbrs: tuple[Point, ...],
+        rows: tuple[_Row, ...],
+        shared: dict["Move", _Entry],
+    ):
         super().__init__()
         self.direction = direction
         self.nbrs = nbrs
         self.rows = rows
+        self.shared = shared
 
     def __missing__(self, pattern: tuple[int, ...]) -> tuple[_Entry, ...]:
         rows = self.rows
         alpha = len(rows)
+        shared = self.shared
         found = []
         for i, row in enumerate(rows):
             empty = [k for k in range(i, i + alpha - 1) if not pattern[k]]
             if len(empty) == 1:
-                found.append((Move(self.nbrs[empty[0]], self.direction, row[0][0]), row))
+                move = Move(self.nbrs[empty[0]], self.direction, row[0][0])
+                entry = shared.get(move)
+                if entry is None:
+                    entry = shared[move] = (move, row)
+                found.append(entry)
         entries = self[pattern] = tuple(found)
         return entries
 
@@ -193,13 +207,15 @@ class _Entries(dict):
 class _Geometry:
     """Point tables for one line length; :meth:`around` fills what it misses."""
 
-    __slots__ = ("alpha", "by_point", "ids")
+    __slots__ = ("alpha", "by_point", "ids", "entries")
 
     def __init__(self, alpha: int):
         self.alpha = alpha
         self.by_point: dict[Point, tuple[_Around, ...]] = {}
         # point -> its index in every board's cross flags, in order of first use
         self.ids: dict[Point, int] = {}
+        # move -> its one legal-move index entry, whichever table made it
+        self.entries: dict[Move, _Entry] = {}
 
     def around(self, point: Point) -> tuple[_Around, ...]:
         """Per direction, in ``Direction`` order: the getter that reads the
@@ -229,7 +245,7 @@ class _Geometry:
                     for i in range(alpha)
                 )
                 gather = itemgetter(*[ids[p] for p in nbrs])
-                per_direction.append((d, gather, _Entries(d, nbrs, rows)))
+                per_direction.append((d, gather, _Entries(d, nbrs, rows, self.entries)))
             found = self.by_point[point] = tuple(per_direction)
         return found
 

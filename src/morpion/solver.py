@@ -359,37 +359,40 @@ _SYMMETRIES = (
     (0, 1, 1, 0), (-1, 0, 0, 1), (1, 0, 0, -1), (0, -1, -1, 0),
 )
 
-class _SymmetricKeys:
-    """Transposition keys for the states reached from one board.
+class _SymmetricKeys(dict):
+    """Transposition keys for the states reached from one board: a move ->
+    the bit of its line's image in each frame, computed on first use.
 
     A state is its set of lines; move order is forgotten.  Each move's cross
     lies on its own line, so the crosses are the initial ones plus the points
-    the lines cover: from a fixed start the lines fix the state.  Two states
-    share a key exactly when a symmetry of the initial crosses maps one onto
-    the other: all eight lattice symmetries for the standard cross shape,
-    only the identity for an arbitrary synthetic board (plain transposition
-    merging).  Coordinates are doubled and re-centred on the initial
+    the lines cover: from a fixed start the lines fix the state.  Each
+    symmetry of the initial crosses is a frame: all eight lattice symmetries
+    for the standard cross shape, only the identity for an arbitrary
+    synthetic board (plain transposition merging).  ``group[0]`` is the
+    identity.  Coordinates are doubled and re-centred on the initial
     bounding box so the symmetry centre stays integral; a line's image is
     the sorted pair of its end points' images.
 
     Each line image is interned as a small int, its id, the first time it is
-    seen, and ``ids`` maps an image to its id.  Each symmetry is a frame, and
-    a state carries one int mask per frame: bit ``id`` is set for each of its
-    line images in that frame.  A child's masks are its parent's ORed with
-    the move's cached per-frame bits, so a child costs one OR per frame and
-    undo costs nothing.
+    seen, and ``ids`` maps an image to its id; ids are one-to-one with
+    images.  A state carries one int mask per frame: bit ``id`` is set for
+    each of its line images in that frame.  A child's masks are its parent's
+    ORed with the move's bits, ``self[move]``, so a child costs one OR per
+    frame and undo costs nothing.
 
-    The key is the least frame mask.  The symmetries form a group, so
-    applying one to a state only permutes its frame masks (the mask of
-    ``σS`` in frame ``f`` is the mask of ``S`` in frame ``f∘σ``): states in
-    one symmetry class share their least mask.  Conversely ids are
-    one-to-one with images, so equal least masks mean that some frame maps
-    one state onto the other's image in some frame, which makes them
-    symmetric.  The key is exact: states share it exactly when they are
-    symmetric.
+    The mask of a state ``S`` in frame ``f`` is the identity-frame mask of
+    ``σ_f S``, its image under that frame's symmetry, since both set the
+    bits of the same line images.  So ``S`` is symmetric to a state ``T``
+    exactly when the identity mask of ``T`` is one of the frame masks of
+    ``S``.  ``exhaustive_solve`` stores each state it expands under its
+    identity mask alone and probes a child frame by frame, identity first;
+    a child hits exactly when a state symmetric to it was expanded.
     """
 
+    __slots__ = ("cx", "cy", "group", "span", "ids")
+
     def __init__(self, board: Board):
+        super().__init__()
         init = board.initial
         # an empty start has no moves, so any centre will do
         xs, ys = [x for x, _ in init] or [0], [y for _, y in init] or [0]
@@ -402,31 +405,27 @@ class _SymmetricKeys:
         ]
         self.span = board.variant.alpha - 1
         self.ids: dict[tuple[Point, Point], int] = {}
-        self.moves: dict[Move, tuple[int, ...]] = {}
 
     def _images(self, p: Point) -> tuple[Point, ...]:
         u, v = 2 * p[0] - self.cx, 2 * p[1] - self.cy
         return tuple((a * u + b * v, c * u + d * v) for a, b, c, d in self.group)
 
-    def move(self, move: Move) -> tuple[int, ...]:
-        """The bit of the move's line image in each frame."""
-        out = self.moves.get(move)
-        if out is None:
-            (x, y), (sx, sy) = move.anchor, move.direction.step
-            head = self._images(move.anchor)
-            tail = self._images((x + self.span * sx, y + self.span * sy))
-            ids = self.ids
-            out = self.moves[move] = tuple(
-                1 << ids.setdefault(line, len(ids))
-                for line in ((a, b) if a < b else (b, a) for a, b in zip(head, tail))
-            )
-        return out
+    def __missing__(self, move: Move) -> tuple[int, ...]:
+        (x, y), (sx, sy) = move.anchor, move.direction.step
+        head = self._images(move.anchor)
+        tail = self._images((x + self.span * sx, y + self.span * sy))
+        ids = self.ids
+        bits = self[move] = tuple(
+            1 << ids.setdefault(line, len(ids))
+            for line in ((a, b) if a < b else (b, a) for a, b in zip(head, tail))
+        )
+        return bits
 
     def masks(self, moves: list[Move]) -> tuple[int, ...]:
-        """Frame masks of the state ``moves`` reach; its key is their least."""
+        """Frame masks of the state ``moves`` reach, the identity's first."""
         masks = (0,) * len(self.group)
         for m in moves:
-            masks = tuple(map(or_, masks, self.move(m)))
+            masks = tuple(map(or_, masks, self[m]))
         return masks
 
 
@@ -438,18 +437,20 @@ def exhaustive_solve(
 ) -> SearchResult:
     """Exact maximum score by depth-first search with undo.
 
-    With ``use_transpositions`` (the default) states are merged through the
-    :class:`_SymmetricKeys` key: the same lines (which fix the crosses,
-    each move's cross lying on its own line) reached by another move order,
-    or related by a symmetry of the initial crosses.  The key is the least
-    of a state's per-frame line-image masks; a symmetry only permutes those
-    masks, and equal least masks mean equal images, so states share a key
-    exactly when they are symmetric, and merged states have the same value.
-    The table stores the exact number of further moves available from each
-    state.  Each child is looked up before it is applied: a hit is taken
-    from the table without an ``apply`` or ``undo``, and only a miss is
-    applied and searched.  Without transpositions this is a plain DFS that
-    builds no key, kept as the reference to test the merging against.
+    With ``use_transpositions`` (the default) states are merged when they
+    have the same lines (which fix the crosses, each move's cross lying on
+    its own line), reached by another move order, or are related by a
+    symmetry of the initial crosses.  The table holds the exact number of
+    further moves available from each expanded state, once, under the
+    state's identity-frame mask (see :class:`_SymmetricKeys`, which also
+    argues why the probe below is exact).  Each child is probed before it is
+    applied: first its identity mask, the parent's ORed with the move's
+    identity bit, and only on a miss its masks in the other frames, which
+    find an expanded image of it under a symmetry.  Merged states are
+    symmetric, so they have the same value.  A hit is taken from the table
+    without an ``apply`` or ``undo``, and only a miss is applied and
+    searched.  Without transpositions this is a plain DFS that builds no
+    key, kept as the reference to test the merging against.
 
     A node is one (position, move) pair examined, a table hit included;
     only the misses among them are applied.  The budget is tested before
@@ -475,14 +476,16 @@ def exhaustive_solve(
     else:
         board = board.copy()
     keys = _SymmetricKeys(board) if use_transpositions else None
+    # identity-frame mask of each expanded state -> its value
     table: dict[int, int] = {}
+    probe = table.get
     nodes = 0
     budget_hit = False
     best_seen = 0
     best_moves: list[Move] = []
     root_depth = board.score
 
-    def dfs(masks: tuple[int, ...] | None, key: int | None) -> int:
+    def dfs(masks: tuple[int, ...] | None) -> int:
         """Value of the board's state, entered through a table miss."""
         nonlocal nodes, budget_hit, best_seen, best_moves
         if board.score - root_depth > best_seen:
@@ -497,26 +500,27 @@ def exhaustive_solve(
                 break
             nodes += 1
             if keys is None:
-                child = child_key = rest = None
+                child = rest = None
             else:
-                child = tuple(map(or_, masks, keys.move(move)))
-                child_key = min(child)
-                rest = table.get(child_key)
+                bits = keys[move]
+                rest = probe(masks[0] | bits[0])
+                if rest is None:
+                    child = tuple(map(or_, masks, bits))
+                    for mask in child[1:]:
+                        rest = probe(mask)
+                        if rest is not None:
+                            break
             if rest is None:
                 board.apply(move)
-                rest = dfs(child, child_key)
+                rest = dfs(child)
                 board.undo()
             if rest >= value:
                 value = rest + 1
-        if key is not None and not budget_hit:
-            table[key] = value
+        if masks is not None and not budget_hit:
+            table[masks[0]] = value
         return value
 
-    if keys is None:
-        value = dfs(None, None)
-    else:
-        masks = keys.masks(board.moves)
-        value = dfs(masks, min(masks))
+    value = dfs(None if keys is None else keys.masks(board.moves))
     # dfs refers to itself through its closure cell; breaking that cycle
     # frees the table now instead of at the next cyclic collection
     dfs = None  # type: ignore[assignment]

@@ -158,6 +158,9 @@ def test_criterion_08_exhaustive_length_six_variants():
             result = exhaustive_solve(variant)
             assert result.exact, "node budget exceeded: not an exhaustive answer"
             assert result.best_score == 12
+            # pins the symmetric merge: a search that missed a symmetric
+            # twin, or merged two states that are not, would count otherwise
+            assert result.nodes_expanded == 534_330
             assert len(result.best_record.moves) == 12
             replay(result.best_record)
 

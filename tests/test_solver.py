@@ -394,6 +394,43 @@ def test_exhaustive_agrees_with_plain_dfs_on_symmetric_starts(variant):
     assert not board.has_legal_moves()
 
 
+@pytest.fixture(scope="module")
+def nmcs_game():
+    """The 61 moves of the NMCS level-1, seed-0 5D game."""
+    return nmcs(FIVE_D, 1, 0).best_record.moves
+
+
+def five_d_tail(game, moves_left):
+    board = Board(FIVE_D)
+    for mv in game[:-moves_left]:
+        board.apply(mv)
+    return board
+
+
+def test_exhaustive_agrees_with_plain_dfs_on_a_five_d_endgame(nmcs_game):
+    # a 5D tail is not symmetric, so this checks the merging on the
+    # asymmetric positions the 6D starts never reach
+    start = five_d_tail(nmcs_game, 8)
+    merged = exhaustive_solve(FIVE_D, board=start)
+    plain = exhaustive_solve(FIVE_D, board=start, use_transpositions=False)
+    assert merged.exact and plain.exact
+    assert (merged.best_score, merged.nodes_expanded) == (8, 434)
+    assert (plain.best_score, plain.nodes_expanded) == (8, 10540)
+    assert merged.best_record.moves == plain.best_record.moves
+
+
+def test_exhaustive_five_d_endgame_is_pinned(nmcs_game):
+    r = exhaustive_solve(FIVE_D, board=five_d_tail(nmcs_game, 12))
+    assert (r.best_score, r.nodes_expanded, r.exact) == (12, 5148, True)
+
+
+@pytest.mark.parametrize("variant", [SIX_D, SIX_T], ids=["6D", "6T"])
+def test_every_length_six_game_scores_twelve(variant):
+    # the 24 legal first moves form 12 mutually exclusive pairs and no move
+    # makes another, so every game, random or optimal, plays exactly 12
+    assert {len(random_playout(variant, seed).moves) for seed in range(20)} == {12}
+
+
 @pytest.mark.parametrize("variant", [SIX_D, SIX_T], ids=["6D", "6T"])
 def test_exhaustive_probes_before_applying(variant, monkeypatch):
     start = seeded_prefix(variant, 3, 7)
@@ -427,10 +464,29 @@ def test_probe_key_equals_entry_key(variant):
             # one bit per line: a frame maps distinct lines to distinct images
             assert bin(min(masks)).count("1") == board.score
             for m in board.legal_moves():
-                probe = min(map(or_, masks, keys.move(m)))
+                probe = min(map(or_, masks, keys[m]))
+                identity = masks[0] | keys[m][0]
                 board.apply(m)
-                assert probe == min(keys.masks(board.moves))
+                child = keys.masks(board.moves)
+                assert probe == min(child)
+                # the solver's first probe, and the mask it stores a state under
+                assert identity == child[0]
                 board.undo()
+
+
+@pytest.mark.parametrize("variant", [FIVE_D, SIX_D], ids=["5D", "6D"])
+def test_frame_mask_is_the_identity_mask_of_the_image(variant):
+    # the fact the identity-first probe rests on: a state's mask in frame f
+    # is the identity mask of its image under frame f's symmetry
+    for seed in range(3):
+        for length in (1, 5, 12):
+            board = seeded_prefix(variant, seed, length)
+            keys = _SymmetricKeys(board)
+            assert keys.group[0] == (1, 0, 0, 1)
+            masks = keys.masks(board.moves)
+            for f, sym in enumerate(keys.group):
+                image = symmetric_image(board, sym, board.moves)
+                assert masks[f] == keys.masks(image)[0]
 
 
 # (best_score, nodes_expanded, stopped_reason, exact) for each budget,
