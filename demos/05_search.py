@@ -6,7 +6,9 @@ Four harnesses of increasing strength: random playouts, a jittered
 greedy line, beam search over a seeded random ranking, and nested
 Monte-Carlo search.  Everything is seeded; rerunning the script
 reproduces the same scores.  Pass --exact to also solve the length-6
-variants to optimality (about 2.3 s each on a shared two-core VM).
+variants to optimality (about 2.3 s each on a shared two-core VM).  Every
+6D or 6T game scores 12: the 24 first moves form 12 mutually exclusive
+pairs and no move makes another, so the proof walks a uniform tree.
 """
 
 import sys
@@ -45,7 +47,8 @@ print(
 )
 
 # the long-line variants are small enough to solve exactly: depth-first
-# search with symmetry-aware transposition merging proves the optimum
+# search with symmetry-aware transposition merging proves the optimum, 12,
+# which every game reaches (one line of each of the 12 first-move pairs)
 if "--exact" in sys.argv[1:]:
     for variant in (SIX_D, SIX_T):
         res = exhaustive_solve(variant)
@@ -54,4 +57,4 @@ if "--exact" in sys.argv[1:]:
             f"{res.nodes_expanded} nodes"
         )
 else:
-    print("rerun with --exact to prove the 6D/6T optimum (12 moves)")
+    print("rerun with --exact to prove the 6D/6T optimum (12 moves, every game)")

@@ -3,80 +3,54 @@
 A move places one cross on an empty point and draws a line of ``alpha``
 consecutive lattice points through it; the other ``alpha - 1`` points must
 already bear crosses.  Same-direction lines must be disjoint under the D rule
-and may share at most one point under the T rule.
+and may share at most one point under the T rule.  So a segment is a legal
+line exactly when it covers one empty point and passes
+:func:`~morpion.geometry.conflicts` over the board's sorted anchor offsets
+per lattice line, which :func:`~morpion.geometry.place_line` and
+``lift_line`` keep with the cover counts.  A segment's row is (points,
+anchor offset, (direction, line key)).
 
-A segment is a legal line exactly when it covers one empty point and
-conflicts with no placed same-direction line (:func:`~morpion.geometry.conflicts`,
-the package's one conflict test, over the board's sorted anchor offsets per
-lattice line, which :func:`~morpion.geometry.place_line` and ``lift_line``
-keep with the cover counts).
+The legal-move index is built on first read: by ``legal_moves``,
+``legal_count``, ``has_legal_moves``, ``apply_at`` or ``check_invariants``.
+Until then (a replay, ``Board(variant, crosses)``, ``Board.force``),
+:meth:`Board.apply` tests a move with the one direct check,
+:meth:`Board.legality_failure`, on the row that
+:func:`~morpion.geometry.line_row` builds, and interns no point.  The index
+is one list of ``(move, row)`` entries, strictly increasing in the
+canonical move order, so ``legal_moves`` reads it off with no sort.
+``apply`` finds a move by bisection and ``apply_at`` takes the ``i``-th
+entry; both share one body, which filters the parent's list into a new one
+(dropping the moves whose one empty point is the new cross and the moves
+the drawn line conflicts with) and inserts the moves the new cross makes
+legal.  A published list is never mutated: the undo trail keeps the
+parent's (``None`` for a move applied before the index was built), so
+``undo`` restores it by assignment, and ``copy`` shares it.
+``Board(variant)`` copies one start board per variant and process.
 
-The legal-move index is built on first read.  A board that nothing has
-asked for its moves (a replay, ``Board(variant, crosses)``, ``Board.force``)
-has none, and :meth:`Board.apply` tests a move with the one direct check,
-:meth:`Board.legality_failure`: the cross is empty, the segment covers it,
-its other points bear crosses and it conflicts with no placed line.
-``legal_moves``, ``legal_count``, ``has_legal_moves``, ``apply_at`` and
-``check_invariants`` build the index; from then on the board keeps its legal
-moves in one list of ``(move, row)`` pairs, the row being the move's segment
-(points, anchor offset, lattice line), strictly increasing in the canonical
-move order.  :meth:`Board.apply` finds a move by bisection,
-:meth:`Board.apply_at` takes the ``i``-th entry as it stands, and the two
-share one body; :meth:`Board.legal_moves` reads the moves off in order,
-with no sort.  ``Board(variant)`` shares the index of the variant's start
-board.
+A move can only make legal the segments through its cross that had two
+empty points.  Along each direction, the cross flags of the cross's
+``2 * alpha - 2`` neighbours form a pattern of 0s and 1s, which fixes the
+windows it leaves with one empty point.  One :class:`_Geometry` per line
+length, shared by every board in the process, holds per point and
+direction an ``operator.itemgetter`` of the neighbours' ids and an
+:class:`_Entries` table from each pattern to its ready index entries, one
+entry object per move.  An entry depends on nothing but the lattice, so
+undo has nothing to reverse in it, and its row equals ``line_row``'s, so a
+line placed before the index was built can be lifted after it.  Each
+indexed board keeps a ``bytearray`` of cross flags at the interned ids:
+``apply`` and ``undo`` store one byte, a pattern is one C-level gather, and
+the flags grow to the current ids before each read.  The tables fill on
+first use of a point or pattern, and only the index reads them, so they are
+bounded by the crosses of indexed boards and the patterns around them.
 
-A position has about ten legal moves, so :meth:`Board.apply` filters the
-parent's list into a new one, dropping the moves whose one empty point is
-the new cross and the moves the drawn line conflicts with, then inserts the
-moves the new cross makes legal in order.  A list, once published, is never
-mutated: the undo trail keeps the parent's (``None`` for a move applied
-before the index was built), so :meth:`Board.undo` restores it by
-assignment and bisects it for the undone move's row, and
-:meth:`Board.copy` and ``Board(variant)`` share it.
-
-Applying a move can only validate segments through its cross that had two
-empty points.  For each direction, the cross flags of the ``2 * alpha - 2``
-neighbours of the cross along it form a pattern, a tuple of 0s and 1s, and
-the pattern fixes the windows through the cross that it leaves with exactly
-one empty point.  One table per line length, shared by every board in the
-process, holds for a point, per direction, an ``operator.itemgetter`` of its
-neighbours' ids and a table of entries: it maps each pattern seen there to
-the ready ``(move, row)`` index entries of those windows, built the first
-time the pattern is seen, so a scan builds no ``Move``; the tables of one
-line length hand out one entry per move.  An entry depends on
-nothing but the lattice, so :meth:`Board.undo` has nothing to reverse in it.
-
-The table interns each point it names as a small int id, and each board
-keeps a ``bytearray`` of cross flags indexed by those ids, the hot-path
-index of its ``crosses`` set: while the legal-move index is built,
-``apply`` and ``undo`` store one byte each, and a direction's pattern is one
-C-level gather, the neighbours' itemgetter applied to the flags; building
-the index writes them afresh.  Ids are interned by every board in the
-process, so a board's flags grow to the current ids before each read.
-The tables fill lazily, a point on its first use and a pattern on its
-first use at that point and direction.  Only the legal-move index reads
-them: building it interns every cross, and an indexed :meth:`Board.apply`
-its new cross.  The direct check, ``Board.force`` and the undo of a move
-applied before the index was built take their rows from
-:func:`~morpion.geometry.line_row` and intern nothing and fill no entry, so
-the tables are bounded by the crosses of the boards whose index was built
-and the patterns seen around them, and the ids by those points and their
-``2 * alpha - 2`` neighbours per direction.  An entry's row equals the row
-``line_row`` builds, so a line placed before the index was built is lifted
-after it, and the reverse.  ``Board(variant)`` at the standard start copies
-one prototype board per variant and process.
-
-The indexed ``apply`` and ``undo`` and the legal-index build read only
-from the tables and the flags.  :meth:`Board.check_invariants` derives
-every segment from :func:`~morpion.geometry.segment_through`, as an
-independent reference; all of them share the one conflict test, and
-``check_invariants`` also checks the placed lines pairwise with
-:func:`~morpion.geometry.segment_relation`.
+:meth:`Board.check_invariants` is the independent reference: it derives
+every segment from :func:`~morpion.geometry.segment_through` and checks the
+placed lines pairwise with :func:`~morpion.geometry.segment_relation`.
 """
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -154,22 +128,14 @@ _move_of = itemgetter(0)
 
 
 class _Entries(dict):
-    """Neighbour pattern -> the legal-move index entries that it makes along
-    one direction through one point; filled on first use of each pattern.
+    """Neighbour pattern -> the index entries it makes along one direction
+    through one point.
 
-    A pattern is the tuple of the neighbours' cross flags that a board's
-    gather returns: ``pattern[k]`` is 1 when neighbour ``k`` of the point
-    bears a cross and 0 when it is empty.  The ``2 * alpha - 2`` neighbours
-    (``nbrs``) are the points ``alpha - 1`` steps or fewer from the point
-    along ``direction``, in step order, the point itself left out.  Window
-    ``i`` is the segment anchored at line position ``i`` (the point is at
-    ``alpha - 1``), its row ``rows[i]``; it covers neighbours ``i`` to
-    ``i + alpha - 2``.  A pattern maps to one ``(move, row)`` entry per
-    window with exactly one empty neighbour, that neighbour being the move's
-    cross, in increasing ``i``.  An entry depends on nothing but the lattice,
-    so every board shares it and :meth:`Board.undo` has nothing to reverse
-    in it; ``shared``, one dict per line length, hands every pattern and
-    point that makes a move the same entry.
+    ``pattern[k]`` is the cross flag of ``nbrs[k]``, the points ``alpha - 1``
+    steps or fewer from the point, in step order, the point left out.  Window
+    ``i``, row ``rows[i]``, covers neighbours ``i`` to ``i + alpha - 2``; a
+    pattern maps to one entry per window with exactly one empty neighbour,
+    the move's cross, in increasing ``i``, taken from ``shared``.
     """
 
     __slots__ = ("direction", "nbrs", "rows", "shared")
@@ -218,15 +184,9 @@ class _Geometry:
         self.entries: dict[Move, _Entry] = {}
 
     def around(self, point: Point) -> tuple[_Around, ...]:
-        """Per direction, in ``Direction`` order: the getter that reads the
-        point's neighbours' flags from a board's cross flags as one pattern,
-        and the point's :class:`_Entries` table, which maps that pattern to
-        the legal-move index entries it makes through the point.
-
-        The first call for a point interns it and its neighbours in ``ids``
-        and builds the rows of the ``alpha`` segments through it, which the
-        table's entries share.
-        """
+        """Per direction, in ``Direction`` order: the direction, the getter
+        of the point's neighbour pattern and its :class:`_Entries` table;
+        the first call interns the point and its neighbours."""
         found = self.by_point.get(point)
         if found is None:
             alpha = self.alpha
@@ -240,6 +200,8 @@ class _Geometry:
                     ids.setdefault(p, len(ids))
                 nbrs = tuple(line[: alpha - 1] + line[alpha:])
                 key = line_key(d, x, y)
+                # slices of ``line`` share its point tuples; rows from
+                # line_row would not, and cost search 1.1 MB of peak RSS
                 rows = tuple(
                     (tuple(line[i : i + alpha]), line_offset(d, *line[i]), (d, key))
                     for i in range(alpha)
@@ -250,16 +212,8 @@ class _Geometry:
         return found
 
 
-# one per line length, shared by every board in the process; a row depends
-# only on the lattice, so the order in which boards fill the tables is moot
-_GEOMETRY: dict[int, _Geometry] = {}
-
-
-def _geometry(alpha: int) -> _Geometry:
-    geo = _GEOMETRY.get(alpha)
-    if geo is None:
-        geo = _GEOMETRY[alpha] = _Geometry(alpha)
-    return geo
+# one per line length, shared by every board in the process
+_geometry = functools.cache(_Geometry)
 
 
 # the standard start of each variant, built once per process and only copied
@@ -267,16 +221,9 @@ _START: dict[Variant, "Board"] = {}
 
 
 class Board:
-    """Mutable game state with a legal-move index built on first read and
-    maintained incrementally from then on: one list of ``(move, row)``
-    pairs in canonical move order, replaced on each move, never mutated.
-
-    Without ``crosses`` the board starts from the variant's standard crosses,
-    copied from a start board built once per process, index included; with
-    ``crosses`` it starts without an index.  Single-writer: never
-    mutate one board from two threads.  ``copy`` is the supported way to fan
-    out.
-    """
+    """Mutable game state, from the variant's standard crosses (index
+    included) or from ``crosses`` (no index).  Single-writer: ``copy`` is
+    the supported way to fan out."""
 
     __slots__ = (
         "variant",
@@ -327,13 +274,9 @@ class Board:
         moves: Iterable[Move],
         crosses: Iterable[Point] = (),
     ) -> "Board":
-        """Build a board by playing ``moves`` with every legality check bypassed.
-
-        For constructing rule-violating positions to exercise the analysis
-        monitors; nothing reachable through :meth:`apply` needs this.  The
-        resulting board has history but no undo trail, and no legal-move
-        index until something reads it.
-        """
+        """Build a board by playing ``moves`` with every legality check
+        bypassed, to exercise the analysis monitors on rule-violating
+        positions.  The board has no undo trail."""
         board = cls(variant, crosses)
         for move in moves:
             board.crosses.add(move.cross)
@@ -398,12 +341,8 @@ class Board:
         return self._play(legal, (move, self._checked_row(move)))
 
     def apply_at(self, i: int) -> "Board":
-        """Apply ``legal_moves()[i]``, without building the list or searching
-        the index for the move; builds the index if nothing has read it yet.
-
-        ``i`` must be in ``range(len(legal_moves()))``: a negative ``i`` raises
-        ``IndexError`` rather than counting from the end.
-        """
+        """Apply ``legal_moves()[i]`` without building the list; ``i`` must be
+        in ``range(len(legal_moves()))``, or ``IndexError`` is raised."""
         legal = self._index()
         if not 0 <= i < len(legal):
             raise IndexError(f"move index {i} out of range for {len(legal)} legal moves")
@@ -455,12 +394,7 @@ class Board:
 
     def _checked_row(self, move: Move) -> _Row:
         """The row of ``move``'s segment, once the move passes the rules;
-        else raise :class:`IllegalMoveError` naming the first violated clause.
-
-        The one direct legality test: it builds the row with
-        :func:`~morpion.geometry.line_row` and reads neither the legal index,
-        the cross flags nor the point table, so it interns no point.
-        """
+        else raise :class:`IllegalMoveError` naming the first violated clause."""
         cross, d, anchor = move
         crosses = self.crosses
         if cross in crosses:
@@ -497,21 +431,10 @@ class Board:
         self._trail = list(other._trail)
 
     def _enter_legal(self, cross: Point, drawn: Direction | None) -> list[_Entry]:
-        """The legal moves through the cross at ``cross``, as index entries.
-
-        They are the windows through ``cross`` with one empty point that
-        conflict with no placed line; a window through a new cross had it
-        empty, so :meth:`apply` has already dropped its old move and inserts
-        these without duplicates.  Each direction's neighbour pattern is one
-        gather from the cross flags, and one lookup in the point's
-        :class:`_Entries` table gives its entries, ready to test for
-        conflicts and insert.  The flags must already flag every cross;
-        they grow first to the ids that ``around`` or another board has
-        interned since they were sized.
-        ``drawn`` is the direction of a line just drawn through ``cross``:
-        under the D rule every window along it shares the cross with that
-        line, so none is tested.
-        """
+        """The legal moves through the cross at ``cross``, as index entries,
+        read from the flags, which must flag every cross.  Under the D rule
+        no window along ``drawn``, a line just drawn through ``cross``, is
+        tested: each shares the cross with that line."""
         skip = None if self.variant.touching_allowed else drawn
         geo = self._geo
         around = geo.around(cross)
@@ -532,13 +455,9 @@ class Board:
         return found
 
     def _rebuild_legal(self) -> None:
-        """Index every legal move from scratch, on the index's first read.
-
-        A legal segment covers at least two crosses and is met through each,
-        so the moves are gathered in a dict and published sorted once.
-        Every cross is flagged before the first is entered, since an
-        unflagged cross would read as an empty point.
-        """
+        """Index every legal move from scratch.  A legal segment is met
+        through each of its crosses, so the moves are gathered in a dict;
+        every cross is flagged first, or it would read as empty."""
         geo = self._geo
         for cross in self.crosses:
             geo.around(cross)  # interns the cross
@@ -552,15 +471,9 @@ class Board:
         self._legal = sorted(found.items())
 
     def check_invariants(self) -> None:
-        """Full consistency audit; raises AssertionError on any mismatch.
-
-        O(board size); meant for tests, not search loops.  Builds the legal
-        index if nothing has read it yet.  Derives every expectation of the
-        lines and the legal index from the segment geometry, never from the
-        shared tables; the cross flags are checked against ``crosses``
-        through the interned ids, and the index must be strictly increasing
-        in the canonical move order.
-        """
+        """Full consistency audit, for tests; raises AssertionError on any
+        mismatch.  The cross flags are checked through the interned ids, and
+        the lines and index against the segment geometry alone."""
         legal = self._index()
         alpha = self.variant.alpha
         assert self.crosses == set(self.initial) | {m.cross for m in self.moves}, (
@@ -612,12 +525,10 @@ class Board:
 
 
 def replay(record: GameRecord) -> Board:
-    """Apply the record's moves from the initial board for its variant.
+    """Apply the record's moves, unindexed, from the variant's initial board.
 
     Raises :class:`IllegalMoveError` carrying the 1-based index of the first
-    illegal move; no partial board escapes on failure.  The board has no
-    legal-move index until something reads it: each move is checked against
-    its own segment.
+    illegal move; no partial board escapes on failure.
     """
     board = Board(record.variant)
     board._legal = None

@@ -81,14 +81,14 @@ def line_offset(direction: Direction, x: int, y: int) -> int:
 
 
 def point_at(direction: Direction, key: int, offset: int) -> Point:
-    """Inverse of ``(line_key, line_offset)``."""
-    if direction == Direction.E:
-        return (offset, key)
-    if direction == Direction.N:
-        return (key, offset)
-    if direction == Direction.NE:
-        return (offset, offset - key)
-    return (offset, key - offset)
+    """Inverse of ``(line_key, line_offset)``.
+
+    Every :data:`LATTICE` row has determinant ``kx*oy - ky*ox`` of +1 or -1,
+    which is its own inverse.
+    """
+    kx, ky, ox, oy = LATTICE[direction]
+    det = kx * oy - ky * ox
+    return (det * (oy * key - ky * offset), det * (kx * offset - ox * key))
 
 
 class Segment(NamedTuple):

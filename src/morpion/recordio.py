@@ -72,24 +72,21 @@ def _prefixes(parts: tuple[tuple[str, str], ...]) -> tuple[tuple[re.Pattern, str
 # Cumulative-prefix token lists: the last prefix is the whole line, whose
 # groups are the line's fields.  On a mismatch the first failing prefix
 # names what was expected and the end of the last matching one gives the
-# column.
+# column.  Both formats end a line with the same line tokens.
+_LINE = (
+    (r"(NE|SE|E|N)", "direction (E|N|NE|SE)"),
+    (r" anchor=", "' anchor='"),
+    (r"(-?\d+),(-?\d+)", "anchor coordinates <x>,<y>"),
+    (r"\Z", "end of line"),
+)
 _MOVE_PARTS = _prefixes((
     (r"(\d+)", "move index"),
     (r" cross=", "' cross='"),
     (r"(-?\d+),(-?\d+)", "cross coordinates <x>,<y>"),
     (r" dir=", "' dir='"),
-    (r"(NE|SE|E|N)", "direction (E|N|NE|SE)"),
-    (r" anchor=", "' anchor='"),
-    (r"(-?\d+),(-?\d+)", "anchor coordinates <x>,<y>"),
-    (r"\Z", "end of line"),
+    *_LINE,
 ))
-_LAYOUT_PARTS = _prefixes((
-    (r"dir=", "'dir='"),
-    (r"(NE|SE|E|N)", "direction (E|N|NE|SE)"),
-    (r" anchor=", "' anchor='"),
-    (r"(-?\d+),(-?\d+)", "anchor coordinates <x>,<y>"),
-    (r"\Z", "end of line"),
-))
+_LAYOUT_PARTS = _prefixes(((r"dir=", "'dir='"), *_LINE))
 _META_RE = re.compile(r"# ([A-Za-z0-9_.-]+)=(.*)\Z")
 
 
@@ -132,6 +129,27 @@ def _logical_lines(text: str) -> list[str]:
     return lines
 
 
+def _header(
+    text: str, magic: str, field: str, value_re: str, hint: str
+) -> tuple[list[str], re.Match]:
+    """The lines of a ``magic`` file and the match of its v1 header
+    ``<magic> v1 <field>=<value>``, whose group 2 is the value."""
+    kind = magic.partition("-")[2]
+    lines = _logical_lines(text)
+    if not lines or not lines[0].strip():
+        raise RecordParseError(f"empty file (expected '{magic} v1 ...')", 1)
+    header = re.match(rf"{magic} v(\d+) {field}=({value_re})\Z", lines[0])
+    if header is None:
+        if not lines[0].startswith(magic):
+            raise RecordParseError(f"not a {kind} file (expected '{magic} v1 {field}=...')", 1)
+        raise RecordParseError(f"malformed header (expected '{magic} v<n> {field}={hint}')", 1)
+    if header.group(1) != "1":
+        raise RecordParseError(
+            f"unsupported {kind} version v{header.group(1)} (supported: v1)", 1
+        )
+    return lines, header
+
+
 def parse_record(text: str, validate: bool = True) -> GameRecord:
     """Parse a record file; by default also prove it legal by replaying it.
 
@@ -139,22 +157,7 @@ def parse_record(text: str, validate: bool = True) -> GameRecord:
     ``validate`` is set, lets the engine's IllegalMoveError propagate with
     the 1-based index of the offending move.
     """
-    lines = _logical_lines(text)
-    if not lines or not lines[0].strip():
-        raise RecordParseError(f"empty file (expected '{RECORD_MAGIC} v1 ...')", 1)
-    header = re.match(rf"{RECORD_MAGIC} v(\d+) variant=(\S+)\Z", lines[0])
-    if header is None:
-        if not lines[0].startswith(RECORD_MAGIC):
-            raise RecordParseError(
-                f"not a record file (expected '{RECORD_MAGIC} v1 variant=...')", 1
-            )
-        raise RecordParseError(
-            f"malformed header (expected '{RECORD_MAGIC} v<n> variant=<name>')", 1
-        )
-    if header.group(1) != "1":
-        raise RecordParseError(
-            f"unsupported record version v{header.group(1)} (supported: v1)", 1
-        )
+    lines, header = _header(text, RECORD_MAGIC, "variant", r"\S+", "<name>")
     try:
         variant = Variant.from_name(header.group(2))
     except ValueError as exc:
@@ -207,18 +210,7 @@ def emit_record(record: GameRecord) -> str:
 
 def parse_layout(text: str) -> Layout:
     """Parse a layout file and check same-direction disjointness."""
-    lines = _logical_lines(text)
-    if not lines or not lines[0].strip():
-        raise RecordParseError(f"empty file (expected '{LAYOUT_MAGIC} v1 ...')", 1)
-    header = re.match(rf"{LAYOUT_MAGIC} v(\d+) alpha=(\d+)\Z", lines[0])
-    if header is None:
-        raise RecordParseError(
-            f"malformed header (expected '{LAYOUT_MAGIC} v<n> alpha=<a>')", 1
-        )
-    if header.group(1) != "1":
-        raise RecordParseError(
-            f"unsupported layout version v{header.group(1)} (supported: v1)", 1
-        )
+    lines, header = _header(text, LAYOUT_MAGIC, "alpha", r"\d+", "<a>")
     (alpha,) = _ints(header, (2,), 1)
     if alpha not in SUPPORTED_ALPHAS:
         raise RecordParseError(f"alpha={alpha} out of range (supported: 3..6)", 1)

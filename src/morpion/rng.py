@@ -29,7 +29,6 @@ The parts, as numpy implements them:
 from __future__ import annotations
 
 _MASK32 = 0xFFFFFFFF
-_MASK53 = (1 << 53) - 1
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 # PCG's default 128-bit LCG multiplier
@@ -111,10 +110,7 @@ _JUMP_MAP = _power((_MULT, 1), _JUMP)
 
 
 class Stream:
-    """One PCG64 stream with numpy's ``integers`` and ``random`` samplers.
-
-    Both samplers inline the LCG step and the XSL-RR output.
-    """
+    """One PCG64 stream with numpy's ``integers`` and ``random`` samplers."""
 
     __slots__ = ("_state", "_inc", "_half")
 
@@ -124,14 +120,18 @@ class Stream:
         # the unused high half of the last 64-bit output ``integers`` drew
         self._half: int | None = None
 
+    def _next64(self) -> int:
+        """Step the LCG and return its XSL-RR output."""
+        s = self._state = (self._state * _MULT + self._inc) & _MASK128
+        return (((s >> 64) ^ s) & _MASK64) * _TWICE >> (s >> 122) & _MASK64
+
     def _next32(self) -> int:
         half = self._half
         if half is not None:
             self._half = None
             return half
-        s = self._state = (self._state * _MULT + self._inc) & _MASK128
-        x = (((s >> 64) ^ s) & _MASK64) * _TWICE >> (s >> 122)
-        self._half = (x >> 32) & _MASK32
+        x = self._next64()
+        self._half = x >> 32
         return x & _MASK32
 
     def integers(self, low: int, high: int) -> int:
@@ -148,15 +148,7 @@ class Stream:
             if n < 1:
                 raise ValueError(f"high <= low: {high} <= {low}")
             raise ValueError(f"range {n} is above 2**32")
-        half = self._half
-        if half is None:
-            s = self._state = (self._state * _MULT + self._inc) & _MASK128
-            x = (((s >> 64) ^ s) & _MASK64) * _TWICE >> (s >> 122)
-            self._half = (x >> 32) & _MASK32
-            m = (x & _MASK32) * n
-        else:
-            self._half = None
-            m = half * n
+        m = self._next32() * n
         # the low word is below n only rarely; then test the exact threshold
         if (m & _MASK32) < n:
             threshold = (0x100000000 - n) % n
@@ -166,9 +158,7 @@ class Stream:
 
     def random(self) -> float:
         """A uniform float in ``[0, 1)`` with 53 random bits."""
-        s = self._state = (self._state * _MULT + self._inc) & _MASK128
-        x = (((s >> 64) ^ s) & _MASK64) * _TWICE >> ((s >> 122) + 11)
-        return (x & _MASK53) * 2.0**-53
+        return (self._next64() >> 11) * 2.0**-53
 
 
 def rng_stream(seed: int, stream: int = 0) -> Stream:

@@ -158,7 +158,10 @@ def test_criterion_08_exhaustive_length_six_variants():
             result = exhaustive_solve(variant)
             assert result.exact, "node budget exceeded: not an exhaustive answer"
             assert result.best_score == 12
-            # pins the symmetric merge: a search that missed a symmetric
+            # every game scores 12 (the 24 first moves form 12 exclusive
+            # pairs and no move makes another; tests/test_length_six_proof.py),
+            # so this pins transposition merging and the node count on a
+            # uniform tree, not pruning: a search that missed a symmetric
             # twin, or merged two states that are not, would count otherwise
             assert result.nodes_expanded == 534_330
             assert len(result.best_record.moves) == 12

@@ -134,6 +134,14 @@ def test_parse_errors_name_line_and_column():
         parse_record("morpion-record v1\n")
     assert "malformed header" in str(err.value)
     assert err.value.line == 1
+    with pytest.raises(RecordParseError) as err:
+        parse_layout("morpion-record v1 variant=5D\n")
+    assert "not a layout file" in str(err.value)
+    assert err.value.line == 1
+    with pytest.raises(RecordParseError) as err:
+        parse_layout("morpion-layout v1\n")
+    assert "malformed header" in str(err.value)
+    assert err.value.line == 1
 
     bad_variant = good.replace("variant=5D", "variant=9Z")
     with pytest.raises(RecordParseError) as err:
