@@ -31,17 +31,19 @@ A move can only make legal the segments through its cross that had two
 empty points.  Along each direction, the cross flags of the cross's
 ``2 * alpha - 2`` neighbours form a pattern of 0s and 1s, which fixes the
 windows it leaves with one empty point.  One :class:`_Geometry` per line
-length, shared by every board in the process, holds per point and
-direction an ``operator.itemgetter`` of the neighbours' ids and an
-:class:`_Entries` table from each pattern to its ready index entries, one
-entry object per move.  An entry depends on nothing but the lattice, so
-undo has nothing to reverse in it, and its row equals ``line_row``'s, so a
-line placed before the index was built can be lifted after it.  Each
-indexed board keeps a ``bytearray`` of cross flags at the interned ids:
-``apply`` and ``undo`` store one byte, a pattern is one C-level gather, and
-the flags grow to the current ids before each read.  The tables fill on
-first use of a point or pattern, and only the index reads them, so they are
-bounded by the crosses of indexed boards and the patterns around them.
+length, shared by every board in the process, maps a point to, per
+direction, an ``operator.itemgetter`` of the neighbours' ids and an
+:class:`_Entries` table from each pattern to its index entries.  Each move
+has one entry object, built with its row from ``line_row`` the first time
+a pattern makes it, and every index, rebuilt ones included, holds those
+objects.  An entry depends on nothing but the lattice, so undo has nothing
+to reverse in it, and a line placed before the index was built can be
+lifted after it.  Each indexed board keeps a ``bytearray`` of cross flags
+at the interned ids: ``apply`` and ``undo`` store one byte, a pattern is
+one C-level gather, and the flags grow to the current ids before each
+read.  The tables fill on first use of a point or pattern, and only the
+index reads them, so they are bounded by the crosses of indexed boards and
+the patterns around them.
 
 :meth:`Board.check_invariants` is the independent reference: it derives
 every segment from :func:`~morpion.geometry.segment_through` and checks the
@@ -68,8 +70,6 @@ from .geometry import (
     conflicts,
     initial_crosses,
     lift_line,
-    line_key,
-    line_offset,
     line_row,
     place_line,
     segment_relation,
@@ -131,84 +131,70 @@ class _Entries(dict):
     """Neighbour pattern -> the index entries it makes along one direction
     through one point.
 
-    ``pattern[k]`` is the cross flag of ``nbrs[k]``, the points ``alpha - 1``
-    steps or fewer from the point, in step order, the point left out.  Window
-    ``i``, row ``rows[i]``, covers neighbours ``i`` to ``i + alpha - 2``; a
-    pattern maps to one entry per window with exactly one empty neighbour,
-    the move's cross, in increasing ``i``, taken from ``shared``.
+    ``line`` is the ``2 * alpha - 1`` points ``alpha - 1`` steps or fewer
+    from the point, in step order, the point in the middle; ``pattern[k]``
+    is the cross flag of the ``k``-th of them other than the point.  Window
+    ``i`` covers ``line[i : i + alpha]``, neighbours ``i`` to
+    ``i + alpha - 2``; a pattern maps to one entry per window with exactly
+    one empty neighbour, the move's cross, in increasing ``i``, taken from
+    ``shared`` or built there.
     """
 
-    __slots__ = ("direction", "nbrs", "rows", "shared")
+    __slots__ = ("direction", "line", "shared")
 
-    def __init__(
-        self,
-        direction: Direction,
-        nbrs: tuple[Point, ...],
-        rows: tuple[_Row, ...],
-        shared: dict["Move", _Entry],
-    ):
+    def __init__(self, direction: Direction, line: tuple[Point, ...], shared: dict["Move", _Entry]):
         super().__init__()
         self.direction = direction
-        self.nbrs = nbrs
-        self.rows = rows
+        self.line = line
         self.shared = shared
 
     def __missing__(self, pattern: tuple[int, ...]) -> tuple[_Entry, ...]:
-        rows = self.rows
-        alpha = len(rows)
+        d = self.direction
+        line = self.line
+        alpha = len(line) // 2 + 1
         shared = self.shared
         found = []
-        for i, row in enumerate(rows):
+        for i in range(alpha):
             empty = [k for k in range(i, i + alpha - 1) if not pattern[k]]
             if len(empty) == 1:
-                move = Move(self.nbrs[empty[0]], self.direction, row[0][0])
+                k = empty[0]
+                move = Move(line[k if k < alpha - 1 else k + 1], d, line[i])
                 entry = shared.get(move)
                 if entry is None:
-                    entry = shared[move] = (move, row)
+                    entry = shared[move] = (move, line_row(d, line[i], alpha))
                 found.append(entry)
         entries = self[pattern] = tuple(found)
         return entries
 
 
-class _Geometry:
-    """Point tables for one line length; :meth:`around` fills what it misses."""
+class _Geometry(dict):
+    """Point -> per direction, in ``Direction`` order: the direction, the
+    getter of the point's neighbour pattern and its :class:`_Entries` table.
+    The first read of a point interns it and its neighbours."""
 
-    __slots__ = ("alpha", "by_point", "ids", "entries")
+    __slots__ = ("alpha", "ids", "entries")
 
     def __init__(self, alpha: int):
+        super().__init__()
         self.alpha = alpha
-        self.by_point: dict[Point, tuple[_Around, ...]] = {}
         # point -> its index in every board's cross flags, in order of first use
         self.ids: dict[Point, int] = {}
         # move -> its one legal-move index entry, whichever table made it
         self.entries: dict[Move, _Entry] = {}
 
-    def around(self, point: Point) -> tuple[_Around, ...]:
-        """Per direction, in ``Direction`` order: the direction, the getter
-        of the point's neighbour pattern and its :class:`_Entries` table;
-        the first call interns the point and its neighbours."""
-        found = self.by_point.get(point)
-        if found is None:
-            alpha = self.alpha
-            ids = self.ids
-            x, y = point
-            per_direction = []
-            for d in DIRECTIONS:
-                sx, sy = d.step
-                line = [(x + t * sx, y + t * sy) for t in range(1 - alpha, alpha)]
-                for p in line:
-                    ids.setdefault(p, len(ids))
-                nbrs = tuple(line[: alpha - 1] + line[alpha:])
-                key = line_key(d, x, y)
-                # slices of ``line`` share its point tuples; rows from
-                # line_row would not, and cost search 1.1 MB of peak RSS
-                rows = tuple(
-                    (tuple(line[i : i + alpha]), line_offset(d, *line[i]), (d, key))
-                    for i in range(alpha)
-                )
-                gather = itemgetter(*[ids[p] for p in nbrs])
-                per_direction.append((d, gather, _Entries(d, nbrs, rows, self.entries)))
-            found = self.by_point[point] = tuple(per_direction)
+    def __missing__(self, point: Point) -> tuple[_Around, ...]:
+        alpha = self.alpha
+        ids = self.ids
+        x, y = point
+        per_direction = []
+        for d in DIRECTIONS:
+            sx, sy = d.step
+            line = tuple([(x + t * sx, y + t * sy) for t in range(1 - alpha, alpha)])
+            for p in line:
+                ids.setdefault(p, len(ids))
+            gather = itemgetter(*[ids[p] for p in line if p != point])
+            per_direction.append((d, gather, _Entries(d, line, self.entries)))
+        found = self[point] = tuple(per_direction)
         return found
 
 
@@ -216,8 +202,12 @@ class _Geometry:
 _geometry = functools.cache(_Geometry)
 
 
-# the standard start of each variant, built once per process and only copied
-_START: dict[Variant, "Board"] = {}
+@functools.cache
+def _start(variant: Variant) -> "Board":
+    """The standard start of ``variant``, indexed, built once per process and only copied."""
+    start = Board(variant, initial_crosses(variant.alpha))
+    start._index()
+    return start
 
 
 class Board:
@@ -241,11 +231,7 @@ class Board:
 
     def __init__(self, variant: Variant, crosses: Iterable[Point] | None = None):
         if crosses is None:
-            start = _START.get(variant)
-            if start is None:
-                start = _START[variant] = Board(variant, initial_crosses(variant.alpha))
-                start._index()
-            self._copy_from(start)
+            self._copy_from(_start(variant))
             return
         self.variant = variant
         self.initial = frozenset(crosses)
@@ -437,7 +423,7 @@ class Board:
         tested: each shares the cross with that line."""
         skip = None if self.variant.touching_allowed else drawn
         geo = self._geo
-        around = geo.around(cross)
+        around = geo[cross]
         flags = self._flags
         grow = len(geo.ids) - len(flags)
         if grow > 0:
@@ -460,15 +446,13 @@ class Board:
         every cross is flagged first, or it would read as empty."""
         geo = self._geo
         for cross in self.crosses:
-            geo.around(cross)  # interns the cross
+            geo[cross]  # interns the cross
         ids = geo.ids
         flags = self._flags = bytearray(len(ids))
         for cross in self.crosses:
             flags[ids[cross]] = 1
-        found: dict[Move, _Row] = {}
-        for cross in self.crosses:
-            found.update(self._enter_legal(cross, None))
-        self._legal = sorted(found.items())
+        found = {e[0]: e for cross in self.crosses for e in self._enter_legal(cross, None)}
+        self._legal = sorted(found.values())
 
     def check_invariants(self) -> None:
         """Full consistency audit, for tests; raises AssertionError on any

@@ -486,9 +486,10 @@ def _improve(layout: Layout) -> Layout:
     a ``(fresh points, direction, anchor)`` tuple, which orders as the
     candidate segments do since all have length 5; the least offer is added
     as a row, and segments are built only for the returned layout.  An
-    addition only changes the offers of its own lattice line and of the
-    lattice lines whose offer windows hold a point it is the first to cover,
-    so only those are re-scored.
+    offer depends only on its lattice line's offsets and on which points are
+    covered, so an addition changes only the offers of its own lattice line
+    and of lattice lines through a point it is the first to cover; those of
+    them that hold a line are re-scored.
     """
     # each line as its place_line row; cover counts per point and sorted
     # offsets per lattice line, kept in step with rows so that each pass is
@@ -565,13 +566,8 @@ def _improve(layout: Layout) -> Layout:
         stale = {add[2]}
         for x, y in covered:
             for d in DIRECTIONS:
-                kx, ky, ox, oy = LATTICE[d]
-                line = (d, kx * x + ky * y)
-                offs = offsets.get(line)
-                if offs is None:
-                    continue
-                off = ox * x + oy * y
-                if offs[0] - 5 <= off < offs[0] or offs[-1] + 5 <= off < offs[-1] + 10:
+                line = (d, line_key(d, x, y))
+                if line in offsets:
                     stale.add(line)
         for line in stale:
             offers[line] = offer(line)

@@ -151,22 +151,24 @@ def test_window_table_matches_a_brute_force_count(alpha):
     the segments through the cross that ``segment_through`` finds with one
     empty point, each as the move that places that point and the row
     ``line_row`` builds, so a line placed before a board's index was built
-    is lifted after it, and the reverse."""
+    is lifted after it, and the reverse.  Each entry is the geometry's one
+    entry for its move."""
     geo = _geometry(alpha)
     origin = (0, 0)
-    around = geo.around(origin)
+    around = geo[origin]
+    assert geo[origin] is around
     assert [d for d, _, _ in around] == list(DIRECTIONS)
     for d, gather, table in around:
         sx, sy = d.step
-        steps = [t for t in range(1 - alpha, alpha) if t]
-        assert table.nbrs == tuple((t * sx, t * sy) for t in steps)
+        assert table.line == tuple((t * sx, t * sy) for t in range(1 - alpha, alpha))
+        nbrs = [p for p in table.line if p != origin]
         for bits in range(2 ** (2 * alpha - 2)):
-            crosses = {origin} | {p for k, p in enumerate(table.nbrs) if (bits >> k) & 1}
+            crosses = {origin} | {p for k, p in enumerate(nbrs) if (bits >> k) & 1}
             flags = bytearray(len(geo.ids))
             for p in crosses:
                 flags[geo.ids[p]] = 1
             pattern = gather(flags)
-            assert pattern == tuple(int(p in crosses) for p in table.nbrs)
+            assert pattern == tuple(int(p in crosses) for p in nbrs)
             expected = []
             for shift in range(alpha):
                 seg = segment_through(d, origin, shift, alpha)
@@ -177,6 +179,7 @@ def test_window_table_matches_a_brute_force_count(alpha):
             entries = table[pattern]
             assert sorted(entries) == sorted(expected)
             assert table[pattern] is entries
+            assert all(geo.entries[e[0]] is e for e in entries)
 
 
 def test_first_move_example_legal():
@@ -509,8 +512,8 @@ def random_game(variant, seed, limit):
 def table_sizes(geo):
     """Points in the point table, interned ids, and patterns in the entry
     tables of every point and direction."""
-    patterns = sum(len(table) for around in geo.by_point.values() for _, _, table in around)
-    return len(geo.by_point), len(geo.ids), patterns
+    patterns = sum(len(table) for around in geo.values() for _, _, table in around)
+    return len(geo), len(geo.ids), patterns
 
 
 def unbuilt(variant, moves):
@@ -752,3 +755,48 @@ def test_apply_at_rejects_a_position_outside_the_list():
                 board.apply_at(i)
             assert (board.moves, board.crosses, board._legal) == before
         board.check_invariants()
+
+
+def assert_entries_shared(board):
+    """Every entry of ``board``'s index is its geometry's one entry for the
+    move, and its row is the one ``line_row`` builds."""
+    geo = _geometry(board.variant.alpha)
+    for entry in board._index():
+        move, row = entry
+        assert geo.entries[move] is entry
+        assert row == line_row(move.direction, move.anchor, board.variant.alpha)
+
+
+@pytest.mark.parametrize("variant", INDEX_VARIANTS)
+def test_every_index_entry_is_the_one_entry_of_its_move(variant):
+    """At the start, through ``apply``, ``apply_at`` and ``undo``, and in an
+    index rebuilt on a replayed, a ``Board(variant, crosses)`` and a
+    far-from-origin board, each index entry is the shared entry of its move,
+    with ``line_row``'s row."""
+    start = Board(variant)
+    assert_entries_shared(start)
+    game = random_game(variant, 89, 12).moves
+    board = Board(variant)
+    for i, move in enumerate(game):
+        if i % 2:
+            board.apply(move)
+        else:
+            board.apply_at(board.legal_moves().index(move))
+        assert_entries_shared(board)
+    while board.moves:
+        board.undo()
+        assert_entries_shared(board)
+    shift = (-4 * 10**8, 9 * 10**8 + 10**4 * (2 * variant.alpha + variant.touching_allowed))
+    far = [(x + shift[0], y + shift[1]) for x, y in initial_crosses(variant.alpha)]
+    rebuilt = [
+        unbuilt(variant, game),
+        Board(variant, initial_crosses(variant.alpha)),
+        Board(variant, far),
+    ]
+    for other in rebuilt:
+        assert other._legal is None
+        assert_entries_shared(other)
+        while other.has_legal_moves() and other.score < len(game) + 6:
+            other.apply_at(other.score % other.legal_count())
+            assert_entries_shared(other)
+        other.check_invariants()
