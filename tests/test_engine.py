@@ -773,10 +773,9 @@ def test_every_index_entry_is_the_one_entry_of_its_move(variant):
     index rebuilt on a replayed, a ``Board(variant, crosses)`` and a
     far-from-origin board, each index entry is the shared entry of its move,
     with ``line_row``'s row."""
-    start = Board(variant)
-    assert_entries_shared(start)
     game = random_game(variant, 89, 12).moves
     board = Board(variant)
+    assert_entries_shared(board)
     for i, move in enumerate(game):
         if i % 2:
             board.apply(move)
@@ -786,8 +785,9 @@ def test_every_index_entry_is_the_one_entry_of_its_move(variant):
     while board.moves:
         board.undo()
         assert_entries_shared(board)
-    shift = (-4 * 10**8, 9 * 10**8 + 10**4 * (2 * variant.alpha + variant.touching_allowed))
-    far = [(x + shift[0], y + shift[1]) for x, y in initial_crosses(variant.alpha)]
+    # an offset of its own per variant, far from every other test's boards
+    dx, dy = -4 * 10**8, 9 * 10**8 + 10**4 * (2 * variant.alpha + variant.touching_allowed)
+    far = [(x + dx, y + dy) for x, y in initial_crosses(variant.alpha)]
     rebuilt = [
         unbuilt(variant, game),
         Board(variant, initial_crosses(variant.alpha)),
