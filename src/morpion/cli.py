@@ -18,6 +18,7 @@ from .engine import IllegalMoveError, replay
 from .geometry import ConfigurationError, Variant
 from .linecover import (
     ALL_RULES,
+    START_CROSSES,
     LayoutError,
     packing_search,
     scan_table,
@@ -177,7 +178,7 @@ def _cmd_pack(args) -> int:
     sizes = range(4, args.max_n + 1)
     result = packing_search("octagon", sizes, sizes, cuts=(0, 1, 2, 3))
     print(
-        f"pack: n={result.n} coverage={result.coverage} budget={result.n + 36}"
+        f"pack: n={result.n} coverage={result.coverage} budget={result.n + START_CROSSES}"
         f" lines={result.layout.line_count}"
     )
     if args.out:

@@ -19,13 +19,15 @@ Until then (a replay, ``Board(variant, crosses)``, ``Board.force``),
 is one list of ``(move, row)`` entries, strictly increasing in the
 canonical move order, so ``legal_moves`` reads it off with no sort.
 ``apply`` finds a move by bisection and ``apply_at`` takes the ``i``-th
-entry; both share one body, which filters the parent's list into a new one
-(dropping the moves whose one empty point is the new cross and the moves
-the drawn line conflicts with) and inserts the moves the new cross makes
-legal.  A published list is never mutated: the undo trail keeps the
-parent's (``None`` for a move applied before the index was built), so
-``undo`` restores it by assignment, and ``copy`` shares it.
-``Board(variant)`` copies one start board per variant and process.
+entry; with no index, ``apply`` pairs the move with its checked row.  One
+body, ``_play``, applies either, with or without an index; on an indexed
+board it filters the parent's list into a new one (dropping the moves whose
+one empty point is the new cross and the moves the drawn line conflicts
+with) and inserts the moves the new cross makes legal.  A published list is
+never mutated: the undo trail keeps, per move, the parent's list (``None``
+before the index was built) and the move's row, which ``undo`` restores and
+lifts, and ``copy`` shares the lists.  ``Board(variant)`` copies one start
+board per variant and process; ``replay`` starts from ``Board(variant, crosses)``.
 
 A move can only make legal the segments through its cross that had two
 empty points.  Along each direction, the cross flags of the cross's
@@ -37,8 +39,7 @@ direction, an ``operator.itemgetter`` of the neighbours' ids and an
 has one entry object, built with its row from ``line_row`` the first time
 a pattern makes it, and every index, rebuilt ones included, holds those
 objects.  An entry depends on nothing but the lattice, so undo has nothing
-to reverse in it, and a line placed before the index was built can be
-lifted after it.  Each indexed board keeps a ``bytearray`` of cross flags
+to reverse in it.  Each indexed board keeps a ``bytearray`` of cross flags
 at the interned ids: ``apply`` and ``undo`` store one byte, a pattern is
 one C-level gather, and the flags grow to the current ids before each
 read.  The tables fill on first use of a point or pattern, and only the
@@ -250,8 +251,9 @@ class Board:
         # (legal move, its segment's row) in canonical move order, None until
         # something reads it; replaced, never mutated, once published
         self._legal: list[_Entry] | None = None
-        # the legal list (None before the index was built) before each move
-        self._trail: list[list[_Entry] | None] = []
+        # per move: the legal list before it (None before the index was
+        # built) and the row of its segment
+        self._trail: list[tuple[list[_Entry] | None, _Row]] = []
 
     @classmethod
     def force(
@@ -312,19 +314,13 @@ class Board:
 
     def apply(self, move: Move) -> "Board":
         legal = self._legal
-        if legal is None:
-            # no index to keep: check the move against its own segment
-            row = self._checked_row(move)
-            self._trail.append(None)
-            self.crosses.add(move.cross)
-            place_line(self._line_offsets, self.cover_count, row)
-            self.moves.append(move)
-            return self
-        i = bisect_left(legal, (move,))
-        if i < len(legal) and legal[i][0] == move:
-            return self._play(legal, legal[i])
-        # the index holds every legal move, so the direct check raises
-        return self._play(legal, (move, self._checked_row(move)))
+        if legal is not None:
+            i = bisect_left(legal, (move,))
+            if i < len(legal) and legal[i][0] == move:
+                return self._play(legal[i])
+        # with no index, the move's own segment; the index holds every legal
+        # move, so on an indexed board this check raises
+        return self._play((move, self._checked_row(move)))
 
     def apply_at(self, i: int) -> "Board":
         """Apply ``legal_moves()[i]`` without building the list; ``i`` must be
@@ -332,40 +328,38 @@ class Board:
         legal = self._index()
         if not 0 <= i < len(legal):
             raise IndexError(f"move index {i} out of range for {len(legal)} legal moves")
-        return self._play(legal, legal[i])
+        return self._play(legal[i])
 
-    def _play(self, legal: list[_Entry], entry: _Entry) -> "Board":
-        """Apply ``entry``'s move on an indexed board whose index is ``legal``."""
+    def _play(self, entry: _Entry) -> "Board":
+        """Apply ``entry``'s move, keeping the index when there is one."""
         move, row = entry
         cross = move.cross
-        _, off, line = row
-        reach = self._reach
-        # drop the moves whose one empty point is the new cross, this one
-        # included, and those the drawn line conflicts with
-        self._trail.append(legal)
-        child = self._legal = [
-            e
-            for e in legal
-            if e[0][0] != cross and (e[1][2] != line or abs(e[1][1] - off) > reach)
-        ]
+        legal = self._legal
+        self._trail.append((legal, row))
         self.crosses.add(cross)
-        self._flags[self._geo.ids[cross]] = 1
         place_line(self._line_offsets, self.cover_count, row)
         self.moves.append(move)
-        for e in self._enter_legal(cross, move.direction):
-            insort(child, e)
+        if legal is not None:
+            _, off, line = row
+            reach = self._reach
+            # drop the moves whose one empty point is the new cross, this one
+            # included, and those the drawn line conflicts with
+            child = self._legal = [
+                e
+                for e in legal
+                if e[0][0] != cross and (e[1][2] != line or abs(e[1][1] - off) > reach)
+            ]
+            self._flags[self._geo.ids[cross]] = 1
+            for e in self._enter_legal(cross, move.direction):
+                insort(child, e)
         return self
 
     def undo(self) -> "Board":
         if not self._trail:
             raise IndexError("undo with no move to undo (forced moves cannot be undone)")
-        legal = self._legal = self._trail.pop()
+        self._legal, row = self._trail.pop()
         move = self.moves.pop()
-        if legal is None:
-            # applied with no index: the cross flags wait for the next build
-            row = line_row(move.direction, move.anchor, self.variant.alpha)
-        else:
-            row = legal[bisect_left(legal, (move,))][1]
+        if self._legal is not None:
             self._flags[self._geo.ids[move.cross]] = 0
         lift_line(self._line_offsets, self.cover_count, row)
         self.crosses.discard(move.cross)
@@ -477,6 +471,12 @@ class Board:
         assert {k: sorted(v) for k, v in offsets.items()} == self._line_offsets, (
             "line offsets out of sync"
         )
+        first = len(self.moves) - len(self._trail)  # forced moves have no trail
+        for (parent, row), m, seg in zip(self._trail, self.moves[first:], lines[first:]):
+            assert row == (seg.points(), seg.offset, (seg.direction, seg.key)), (
+                f"trail row of move {m} out of sync"
+            )
+            assert parent is None or m in map(_move_of, parent), f"trail list lacks move {m}"
         ids = self._geo.ids
         flags = bytearray(len(self._flags))
         for p in self.crosses:
@@ -514,8 +514,7 @@ def replay(record: GameRecord) -> Board:
     Raises :class:`IllegalMoveError` carrying the 1-based index of the first
     illegal move; no partial board escapes on failure.
     """
-    board = Board(record.variant)
-    board._legal = None
+    board = Board(record.variant, _start(record.variant).initial)
     for i, move in enumerate(record.moves, start=1):
         try:
             board.apply(move)

@@ -58,6 +58,7 @@ from .geometry import (
     Segment,
     conflict_reach,
     conflicts,
+    initial_crosses,
     lift_line,
     line_key,
     line_row,
@@ -77,6 +78,9 @@ class ExactSearchBudgetError(RuntimeError):
 
 # same-direction length-5 lines conflict when their anchors are this close
 _REACH = conflict_reach(5, False)
+
+# the crosses of the 5D/5T start: N moves cover at most N + START_CROSSES points
+START_CROSSES = len(initial_crosses(5))
 
 
 RULE_A = "A"
@@ -223,8 +227,8 @@ def scan_table(
     rows = []
     for n in range(1, n_max + 1):
         cb = combined_lower(n, rules)
-        feasible = cb.bound <= n + 36
-        rows.append((n, cb.rule, cb.bound, n + 36, feasible))
+        feasible = cb.bound <= n + START_CROSSES
+        rows.append((n, cb.rule, cb.bound, n + START_CROSSES, feasible))
         if not feasible:
             break
     return rows
@@ -242,7 +246,8 @@ def infeasibility_scan(rules: frozenset[str], n_max: int) -> int | None:
 
 # -- exact minimum coverage at desk scale ---------------------------------
 
-_exact_cache: dict[tuple, int] = {}
+# (counts, window) -> (minimum, nodes the search took)
+_exact_cache: dict[tuple, tuple[int, int]] = {}
 
 
 def min_cover_exact(
@@ -256,7 +261,8 @@ def min_cover_exact(
     be disjoint.  Translation is factored out by keeping only placements
     whose anchor set touches x=0 and y=0.  Configurations whose estimated
     tree exceeds ``node_budget`` are rejected up front ("too large for exact
-    search") rather than answered approximately.
+    search") rather than answered approximately, and so is a search that
+    takes more than ``node_budget`` nodes, whether or not its answer is cached.
     """
     # written so that NaN fails too: no node count ever passes a NaN budget
     if not node_budget >= 0:
@@ -279,9 +285,14 @@ def min_cover_exact(
                 f"too large for exact search: ~{estimate:.2e} placements > budget {node_budget}"
             )
 
+    over = f"too large for exact search: exceeded budget {node_budget}"
     cache_key = (tuple(counts[d] for d in DIRECTIONS), window)
     if cache_key in _exact_cache:
-        return _exact_cache[cache_key]
+        # answer as the search would: it takes the same nodes every time
+        best, nodes = _exact_cache[cache_key]
+        if nodes > node_budget:
+            raise ExactSearchBudgetError(over)
+        return best
 
     anchors = [(x, y) for x in range(window) for y in range(window)]
     active = [d for d in DIRECTIONS if counts[d]]
@@ -308,9 +319,7 @@ def min_cover_exact(
                 continue
             nodes += 1
             if nodes > node_budget:
-                raise ExactSearchBudgetError(
-                    f"too large for exact search: exceeded budget {node_budget}"
-                )
+                raise ExactSearchBudgetError(over)
             fresh = sum(1 for p in pts if p not in cover)
             if len(cover) + fresh < best:
                 ax, ay = pts[0]
@@ -329,7 +338,7 @@ def min_cover_exact(
         floor = max(floor, lemma_min_cover_bound((two[0] - 1) // 5))
     assert best >= floor, f"exact search returned {best}, below the certified floor {floor}"
 
-    _exact_cache[cache_key] = best
+    _exact_cache[cache_key] = (best, nodes)
     return best
 
 
@@ -555,7 +564,7 @@ def _improve(layout: Layout) -> Layout:
     offers = {line: offer(line) for line in offsets}
     while offers:
         fresh, d, anchor = min(offers.values())
-        slack = len(rows) + 36 - len(count)
+        slack = len(rows) + START_CROSSES - len(count)
         if fresh > slack + 1:
             break
         add = line_row(d, anchor, 5)
@@ -605,8 +614,8 @@ def packing_search(
         raise ValueError("parameter ranges must be nonempty")
     if shape_family not in ("rectangle", "octagon"):
         raise ValueError(f"unknown shape family {shape_family!r}")
-    if shape_family == "rectangle":
-        cut_list = [(0, 0, 0, 0)]
+    if shape_family == "rectangle" and cut_list != [(0, 0, 0, 0)]:
+        raise ValueError(f"a rectangle has no corner cuts: cuts must be (0,), got {cut_list}")
 
     best = PackResult(Layout(), 0, 0)
     for w in widths:
@@ -621,7 +630,7 @@ def packing_search(
                 if n == 0 or n < best.n or (n == best.n and layout.lines >= best.layout.lines):
                     continue
                 cov = len(layout.points())
-                if cov > n + 36:
+                if cov > n + START_CROSSES:
                     continue
                 ok, why = verify_layout(layout)
                 if not ok:

@@ -463,9 +463,10 @@ def exhaustive_solve(
     with or without transpositions.  Exceeding the node budget returns the
     deepest line found so far flagged non-exact.
 
-    Sized for length-6 variants and synthetic positions; a 5D/5T run will
-    hit any realistic budget.  A ``board`` of another variant than
-    ``variant`` raises ``ValueError``.
+    Sized for length-6 variants, synthetic positions and 5D/5T endgames (the
+    last 16 moves of a 61-move game take about 214k nodes); a 5D/5T run from
+    the start will hit any realistic budget.  A ``board`` of another variant
+    than ``variant`` raises ``ValueError``.
     """
     _check_search(variant, node_budget)
     t0 = time.perf_counter()

@@ -333,7 +333,7 @@ def test_play_on_a_fan_out_leaves_the_published_lists_unchanged(fan_out):
     parent = Board(FIVE_D)
     for _ in range(3):
         parent.apply(rng.choice(parent.legal_moves()))
-    published = [parent._legal, *parent._trail]
+    published = [parent._legal, *(legal for legal, _ in parent._trail)]
     snapshots = [tuple(legal) for legal in published]
     child = parent.copy() if fan_out == "copy" else Board(FIVE_D)
     for _ in range(5):
@@ -492,6 +492,25 @@ def test_check_invariants_rejects_an_index_out_of_order():
     legal[0], legal[1] = legal[1], legal[0]
     board._legal = legal
     with pytest.raises(AssertionError, match="legal index out of canonical order"):
+        board.check_invariants()
+
+
+@pytest.mark.parametrize("corrupt", ["row", "replayed row", "list"])
+def test_check_invariants_rejects_a_corrupt_trail_entry(corrupt):
+    board = Board(FIVE_D)
+    for _ in range(2):
+        board.apply(board.legal_moves()[0])
+    if corrupt == "replayed row":
+        board = replay(GameRecord(FIVE_D, board.moves))
+    parent, row = board._trail[0]
+    if corrupt == "list":
+        # the list after both moves no longer holds the first
+        board._trail[0] = (board._legal, row)
+        match = "trail list lacks move"
+    else:
+        board._trail[0] = (parent, board._trail[1][1])
+        match = "trail row of move .* out of sync"
+    with pytest.raises(AssertionError, match=match):
         board.check_invariants()
 
 

@@ -290,6 +290,17 @@ def test_exact_search_rejects_a_budget_no_count_can_meet(budget):
         min_cover_exact({Direction.E: 3, Direction.N: 3}, 10, node_budget=budget)
 
 
+@pytest.mark.parametrize("window, nodes", [(5, 650), (6, 1332), (7, 2450)])
+def test_exact_search_budget_holds_whatever_the_cache_holds(monkeypatch, window, nodes):
+    # each search estimates window**4 placements, under its node count
+    monkeypatch.setattr(linecover, "_exact_cache", {})
+    pair = {Direction.E: 1, Direction.N: 1}
+    for _ in range(2):
+        with pytest.raises(ExactSearchBudgetError, match="exceeded budget"):
+            min_cover_exact(pair, window, node_budget=nodes - 1)
+        assert min_cover_exact(pair, window, node_budget=nodes) == 9
+
+
 # -- the 5-coloring counting replay ------------------------------------------
 
 
@@ -379,6 +390,12 @@ def test_packing_search_rectangles():
 def test_packing_search_rejects_unknown_family():
     with pytest.raises(ValueError):
         packing_search("hexagon", range(4, 6), range(4, 6))
+
+
+@pytest.mark.parametrize("cuts", [(3, (1, 2, 3, 4)), (), (0, 1), [(0, 0, 0, 1)]])
+def test_packing_search_refuses_cuts_for_rectangles(cuts):
+    with pytest.raises(ValueError, match="cuts must be"):
+        packing_search("rectangle", range(8, 10), range(8, 10), cuts=cuts)
 
 
 @pytest.mark.parametrize("cut", [(1, 2, 3), 1.5])
