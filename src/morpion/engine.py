@@ -14,10 +14,12 @@ The legal-move index is built on first read: by ``legal_moves``,
 ``legal_count``, ``has_legal_moves``, ``apply_at`` or ``check_invariants``.
 Until then (a replay, ``Board(variant, crosses)``, ``Board.force``),
 :meth:`Board.apply` tests a move with the one direct check,
-:meth:`Board.legality_failure`, on the row that
-:func:`~morpion.geometry.line_row` builds, and interns no point.  The index
-is one list of ``(move, row)`` entries, strictly increasing in the
-canonical move order, so ``legal_moves`` reads it off with no sort.
+:meth:`Board.legality_failure`, on the move's row: its shared index
+entry's row (below) when some index has listed the move, else the row that
+:func:`~morpion.geometry.line_row` builds.  The check reads the shared
+entries and never writes them, so it interns no point and adds no entry.
+The index is one list of ``(move, row)`` entries, strictly increasing in
+the canonical move order, so ``legal_moves`` reads it off with no sort.
 ``apply`` finds a move by bisection and ``apply_at`` takes the ``i``-th
 entry; with no index, ``apply`` pairs the move with its checked row.  One
 body, ``_play``, applies either, with or without an index; on an indexed
@@ -43,7 +45,7 @@ to reverse in it.  Each indexed board keeps a ``bytearray`` of cross flags
 at the interned ids: ``apply`` and ``undo`` store one byte, a pattern is
 one C-level gather, and the flags grow to the current ids before each
 read.  The tables fill on first use of a point or pattern, and only the
-index reads them, so they are bounded by the crosses of indexed boards and
+index fills them, so they are bounded by the crosses of indexed boards and
 the patterns around them.
 
 :meth:`Board.check_invariants` is the independent reference: it derives
@@ -373,13 +375,15 @@ class Board:
     # -- internals -------------------------------------------------------
 
     def _checked_row(self, move: Move) -> _Row:
-        """The row of ``move``'s segment, once the move passes the rules;
-        else raise :class:`IllegalMoveError` naming the first violated clause."""
+        """The row of ``move``'s segment, its shared entry's if it has one,
+        once the move passes the rules; else raise :class:`IllegalMoveError`
+        naming the first violated clause."""
         cross, d, anchor = move
         crosses = self.crosses
         if cross in crosses:
             raise IllegalMoveError(f"(a): point {cross[0]},{cross[1]} already bears a cross", move)
-        row = line_row(d, anchor, self.variant.alpha)
+        entry = self._geo.entries.get(move)
+        row = entry[1] if entry is not None else line_row(d, anchor, self.variant.alpha)
         pts = row[0]
         if cross not in pts:
             raise IllegalMoveError("(b): line does not cover the placed cross", move)

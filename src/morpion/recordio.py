@@ -251,7 +251,8 @@ class RenderSpec:
 
 
 def _scene(obj, annotate: bool):
-    """Reduce the input to (point -> label, segments); label 'o' or move number."""
+    """Reduce the input to (point -> label, segments in ``Segment`` order);
+    label 'o' or move number."""
     if isinstance(obj, GameRecord):
         obj = replay(obj)
     if isinstance(obj, Board):
@@ -265,20 +266,21 @@ def _scene(obj, annotate: bool):
         segments = obj.lines
     else:
         raise TypeError(f"cannot render {type(obj).__name__} (need Board, GameRecord, or Layout)")
-    return points, sorted(segments, key=lambda s: (s.direction, s.anchor))
+    # the lines of a board or a layout share one length, so this is
+    # (direction, anchor) order
+    return points, sorted(segments)
 
 
 def render(obj, spec: RenderSpec | None = None) -> bytes:
     """Draw a Board, GameRecord, or Layout per the RenderSpec; deterministic bytes.
 
-    Raises LayoutError when an ASCII grid would exceed a fixed cell cap."""
+    The format is checked before anything is replayed.  Raises LayoutError
+    when an ASCII grid would exceed a fixed cell cap."""
     spec = spec if spec is not None else RenderSpec()
-    points, segments = _scene(obj, spec.annotate_moves)
-    if spec.format == "ascii":
-        return _render_ascii(points, segments)
-    if spec.format == "svg":
-        return _render_svg(points, segments)
-    raise ValueError(f"unknown render format {spec.format!r} (expected ascii or svg)")
+    draw = _RENDERERS.get(spec.format)
+    if draw is None:
+        raise ValueError(f"unknown render format {spec.format!r} (expected ascii or svg)")
+    return draw(*_scene(obj, spec.annotate_moves))
 
 
 def _render_ascii(points: dict, segments: list[Segment]) -> bytes:
@@ -288,6 +290,12 @@ def _render_ascii(points: dict, segments: list[Segment]) -> bytes:
     '-', '|', '/', '\\' connectors and 'X' where the two diagonals cross.
     Annotated renders widen each cell so move numbers fit right-aligned on
     the lattice column.
+
+    Point ``(x, y)`` sits at row ``2 * (maxy - y)`` and column
+    ``(x - minx) * step + width - 1``.  Even rows start as copies of one
+    dotted row.  Each line, in segment order, writes its connectors at
+    those positions; then each cross or label is written over its '.' and
+    over any '-' a wide label reaches.
     """
     if not points:
         return b""
@@ -302,44 +310,51 @@ def _render_ascii(points: dict, segments: list[Segment]) -> bytes:
         raise LayoutError(
             f"ascii render needs {nrows}x{ncols} cells, over the cap of {_ASCII_CELL_CAP}"
         )
-    grid = [[" "] * ncols for _ in range(nrows)]
+    dots = ((" " * (width - 1) + ". ") * (maxx - minx + 1))[:ncols]
+    grid = [list(dots) if r % 2 == 0 else [" "] * ncols for r in range(nrows)]
 
-    def node(x: int, y: int) -> tuple[int, int]:
-        return 2 * (maxy - y), (x - minx) * step + width - 1
+    half = step // 2  # a diagonal's connector column, right of its lower-x node
+    for d, (x, y), length in segments:
+        r = 2 * (maxy - y)
+        c = (x - minx) * step + width - 1
+        if d is Direction.E:
+            # the node columns keep their '.', so a forced line over an
+            # empty point still shows it
+            end = c + (length - 1) * step
+            grid[r][c + 1 : end] = (("-" * width + ".") * (length - 1))[:-1]
+        elif d is Direction.N:
+            for k in range(1, 2 * length - 2, 2):
+                grid[r - k][c] = "|"
+        else:
+            glyph, dr = ("/", -1) if d is Direction.NE else ("\\", 1)
+            c += half
+            for _ in range(length - 1):
+                r += dr
+                row = grid[r]
+                cell = row[c]
+                # segment order puts every NE before every SE; a diagonal
+                # over an 'X' (overlapping forced lines) writes its glyph
+                row[c] = "X" if cell in "/\\" and cell != glyph else glyph
+                r += dr
+                c += step
 
-    for seg in segments:
-        pts = seg.points()
-        for (x1, y1), (x2, y2) in zip(pts, pts[1:]):
-            r1, c1 = node(x1, y1)
-            r2, c2 = node(x2, y2)
-            if seg.direction is Direction.E:
-                for c in range(c1 + 1, c2):
-                    grid[r1][c] = "-"
-            elif seg.direction is Direction.N:
-                grid[(r1 + r2) // 2][c1] = "|"
-            else:
-                glyph = "/" if seg.direction is Direction.NE else "\\"
-                r, c = (r1 + r2) // 2, (c1 + c2) // 2
-                grid[r][c] = "X" if grid[r][c] in "/\\" and grid[r][c] != glyph else glyph
-
-    for y in range(miny, maxy + 1):
-        for x in range(minx, maxx + 1):
-            r, c = node(x, y)
-            label = points.get((x, y))
-            if label is None:
-                grid[r][c] = "."
-            elif label == "o":
-                grid[r][c] = "o"
-            else:
-                for i, ch in enumerate(reversed(str(label))):
-                    grid[r][c - i] = ch
+    for (x, y), label in points.items():
+        row = grid[2 * (maxy - y)]
+        c = (x - minx) * step + width - 1
+        if label == "o":
+            row[c] = "o"
+        else:
+            text = str(label)
+            row[c + 1 - len(text) : c + 1] = text
 
     text = "\n".join("".join(row).rstrip() for row in grid)
     return (text + "\n").encode()
 
 
 def _render_svg(points: dict, segments: list[Segment]) -> bytes:
-    """SVG 1.1 subset: line elements (canonical order), then circles, then text."""
+    """SVG 1.1 subset: line elements (canonical order), then circles, then text.
+
+    Lattice ``(x, y)`` maps to pixel ``(x * cell + ox, oy - y * cell)``."""
     cell = _SVG_CELL
     out = ['<?xml version="1.0" encoding="UTF-8"?>']
     if not points:
@@ -348,39 +363,34 @@ def _render_svg(points: dict, segments: list[Segment]) -> bytes:
     minx, miny, maxx, maxy = bounding_box(points)
     w = (maxx - minx + 2) * cell
     h = (maxy - miny + 2) * cell
-
-    def sx(x: int) -> int:
-        return (x - minx + 1) * cell
-
-    def sy(y: int) -> int:
-        return (maxy - y + 1) * cell
+    ox = (1 - minx) * cell
+    oy = (maxy + 1) * cell
 
     out.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}"'
         f' viewBox="0 0 {w} {h}">'
     )
+    stroke = ' stroke="#444" stroke-width="2"/>'
     for seg in segments:
         (x1, y1), (x2, y2) = seg.anchor, seg.last
         out.append(
-            f'<line x1="{sx(x1)}" y1="{sy(y1)}" x2="{sx(x2)}" y2="{sy(y2)}"'
-            f' stroke="#444" stroke-width="2"/>'
+            f'<line x1="{x1 * cell + ox}" y1="{oy - y1 * cell}"'
+            f' x2="{x2 * cell + ox}" y2="{oy - y2 * cell}"{stroke}'
         )
     radius = cell * 3 // 10
+    cross = '"#222"/>'
+    labelled = '"#fff" stroke="#222" stroke-width="2"/>'
     for x, y in sorted(points):
-        if points[x, y] == "o":
-            out.append(f'<circle cx="{sx(x)}" cy="{sy(y)}" r="{radius}" fill="#222"/>')
-        else:
-            out.append(
-                f'<circle cx="{sx(x)}" cy="{sy(y)}" r="{radius}" fill="#fff"'
-                f' stroke="#222" stroke-width="2"/>'
-            )
-    for number, (x, y) in sorted(
-        (label, p) for p, label in points.items() if label != "o"
-    ):
-        out.append(
-            f'<text x="{sx(x)}" y="{sy(y)}" font-size="{cell // 2}"'
-            f' font-family="sans-serif" text-anchor="middle"'
-            f' dominant-baseline="central">{number}</text>'
-        )
+        fill = cross if points[x, y] == "o" else labelled
+        out.append(f'<circle cx="{x * cell + ox}" cy="{oy - y * cell}" r="{radius}" fill={fill}')
+    font = (
+        f' font-size="{cell // 2}" font-family="sans-serif" text-anchor="middle"'
+        f' dominant-baseline="central">'
+    )
+    for number, (x, y) in sorted((label, p) for p, label in points.items() if label != "o"):
+        out.append(f'<text x="{x * cell + ox}" y="{oy - y * cell}"{font}{number}</text>')
     out.append("</svg>")
     return ("\n".join(out) + "\n").encode()
+
+
+_RENDERERS = {"ascii": _render_ascii, "svg": _render_svg}

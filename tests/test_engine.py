@@ -529,10 +529,10 @@ def random_game(variant, seed, limit):
 
 
 def table_sizes(geo):
-    """Points in the point table, interned ids, and patterns in the entry
-    tables of every point and direction."""
+    """Points in the point table, interned ids, patterns in the entry
+    tables of every point and direction, and shared entries."""
     patterns = sum(len(table) for around in geo.values() for _, _, table in around)
-    return len(geo), len(geo.ids), patterns
+    return len(geo), len(geo.ids), patterns, len(geo.entries)
 
 
 def unbuilt(variant, moves):
@@ -692,10 +692,10 @@ def test_an_illegal_move_far_from_an_unbuilt_board_adds_no_point(variant):
 
 @pytest.mark.parametrize("variant", INDEX_VARIANTS)
 def test_a_game_played_without_an_index_adds_no_point(variant):
-    """The direct check, undo and ``Board.force`` build rows with
-    ``line_row``, so a whole game played, undone and forced far from every
-    other board leaves the point table, the ids and the entry tables as
-    they were."""
+    """The direct check reads the shared entries without writing them, and
+    ``Board.force`` builds rows with ``line_row``, so a whole game played,
+    undone and forced far from every other board leaves the point table,
+    the ids, the entry tables and the shared entries as they were."""
     alpha = variant.alpha
     geo = _geometry(alpha)
     # an offset of its own per variant, far from every other test's boards
@@ -819,3 +819,30 @@ def test_every_index_entry_is_the_one_entry_of_its_move(variant):
             other.apply_at(other.score % other.legal_count())
             assert_entries_shared(other)
         other.check_invariants()
+
+
+@pytest.mark.parametrize("variant", INDEX_VARIANTS)
+def test_the_direct_check_plays_the_shared_row_of_a_listed_move(variant):
+    """On a board with no index, a move that some index has listed is played
+    with its shared entry's own row object; any other move with a new row
+    equal to ``line_row``'s."""
+    alpha = variant.alpha
+    geo = _geometry(alpha)
+    game = random_game(variant, 97, 10).moves
+    board = Board(variant, initial_crosses(alpha))
+    for move in game:
+        board.apply(move)
+        assert board._trail[-1][1] is geo.entries[move][1]
+    assert board._legal is None
+    # an offset of its own per variant, far from every other test's boards
+    dx, dy = -6 * 10**8, -5 * 10**8 - 10**4 * (2 * alpha + variant.touching_allowed)
+
+    def shift(p):
+        return (p[0] + dx, p[1] + dy)
+
+    far = Board(variant, [shift(p) for p in initial_crosses(alpha)])
+    for move in game:
+        moved = Move(shift(move.cross), move.direction, shift(move.anchor))
+        far.apply(moved)
+        assert far._trail[-1][1] == line_row(moved.direction, moved.anchor, alpha)
+        assert moved not in geo.entries

@@ -1,17 +1,32 @@
-"""File formats and rendering: roundtrips, golden bytes, mutation fuzzing."""
+"""File formats and rendering: roundtrips, golden bytes, mutation fuzzing, and
+cell-by-cell reference renderers that ``render`` must equal byte for byte."""
 
 import itertools
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from morpion.engine import Board, GameRecord, IllegalMoveError, Move
-from morpion.geometry import FIVE_D, SIX_D, Direction, Segment
+from morpion.engine import Board, GameRecord, IllegalMoveError, Move, _geometry, replay
+from morpion.geometry import (
+    DIRECTIONS,
+    FIVE_D,
+    FIVE_T,
+    SIX_D,
+    TOUCHING,
+    Direction,
+    Segment,
+    Variant,
+    bounding_box,
+    initial_crosses,
+    segment_relation,
+)
 from morpion.linecover import Layout, LayoutError, grid_packing
 from morpion.recordio import (
     RecordParseError,
     RenderSpec,
+    _scene,
     emit_layout,
     emit_record,
     parse_layout,
@@ -220,6 +235,76 @@ def test_coordinate_mutations_are_caught_exactly_when_illegal():
     assert verdicts["illegal"] + verdicts["legal"] == 18 * 2 * 2 * 2
 
 
+def start_failure(move: Move, crosses: set) -> str:
+    """The clause (a) or (c) that ``move`` breaks on a board with ``crosses``
+    and no line, from the segment's points alone; "" if neither."""
+    if move.cross in crosses:
+        return f"(a): point {move.cross[0]},{move.cross[1]} already bears a cross"
+    empty = [p for p in move.segment(5).points() if p != move.cross and p not in crosses]
+    return f"(c): point {empty[0][0]},{empty[0][1]} empty" if empty else ""
+
+
+def test_a_move_listed_in_another_game_is_still_refused_where_it_is_illegal():
+    """A move some index has listed has a shared entry, whose row the
+    unindexed check reads; where the move is illegal, ``replay``,
+    ``parse_record``, ``render`` and ``legality_failure`` still name its
+    clause and its 1-based index."""
+    geo = _geometry(5)
+    start = set(initial_crosses(5))
+    game = random_playout(FIVE_D, 3).moves  # played on an indexed board
+    late = next(m for m in game if start_failure(m, start).startswith("(c)"))
+    opener = Move((2, 0), Direction.E, (2, 0))
+    cases = [
+        ([late], 1, start_failure(late, start)),
+        ([opener, opener], 2, start_failure(opener, start | {opener.cross})),
+        # listed at the start, and touches the opener under the D rule
+        (
+            [opener, Move((7, 0), Direction.E, (3, 0))],
+            2,
+            "(d): line touches an existing same-direction line",
+        ),
+    ]
+    for moves, index, reason in cases:
+        assert moves[-1] in geo.entries
+        record = GameRecord(FIVE_D, moves)
+        attempts = [
+            lambda: replay(record),
+            lambda: parse_record(emit_record(record)),
+            lambda: render(record),
+            lambda: render(record, RenderSpec("svg", annotate_moves=True)),
+        ]
+        for attempt in attempts:
+            with pytest.raises(IllegalMoveError) as err:
+                attempt()
+            assert (err.value.reason, err.value.index) == (reason, index)
+        board = replay(GameRecord(FIVE_D, moves[:-1]))
+        assert board.legality_failure(moves[-1]) == reason
+
+
+def test_a_tampered_record_adds_no_shared_entry_or_id():
+    """Replaying a record reads the shared entries and never writes them:
+    each one-coordinate tamper of a game leaves the entries and the
+    interned ids as they were, whether it is refused or not."""
+    geo = _geometry(5)
+    moves = random_playout(FIVE_D, 5).moves
+    sizes = (len(geo.entries), len(geo.ids))
+    refused = 0
+    for i in range(0, len(moves), 3):
+        for field, axis, delta in itertools.product(("cross", "anchor"), (0, 1), (7, -7)):
+            point = list(getattr(moves[i], field))
+            point[axis] += delta
+            tampered = list(moves)
+            tampered[i] = moves[i]._replace(**{field: tuple(point)})
+            record = GameRecord(FIVE_D, tampered)
+            for attempt in (lambda: parse_record(emit_record(record)), lambda: render(record)):
+                try:
+                    attempt()
+                except IllegalMoveError:
+                    refused += 1
+                assert (len(geo.entries), len(geo.ids)) == sizes
+    assert refused > 0
+
+
 # -- layout format -----------------------------------------------------------
 
 
@@ -343,6 +428,14 @@ def test_render_rejects_unknown_format_and_type():
         render(Board(FIVE_D), RenderSpec(format="png"))
     with pytest.raises(TypeError):
         render("not a board")
+    # the format is checked before the record is replayed, so an illegal
+    # record gets the format's error, not the replay's
+    illegal = GameRecord(FIVE_D, [Move((0, 0), Direction.E, (0, 0))])
+    with pytest.raises(IllegalMoveError):
+        render(illegal)
+    with pytest.raises(ValueError, match="unknown render format 'png'") as err:
+        render(illegal, RenderSpec(format="png"))
+    assert not isinstance(err.value, IllegalMoveError)
 
 
 def test_empty_layout_renders():
@@ -360,5 +453,177 @@ def test_ascii_marks_crosses_lines_and_diagonal_crossings():
     # x+y=3 meets y=x between lattice points, so one cell holds both glyphs
     seg1 = Segment(Direction.NE, (0, 0), 5)
     seg2 = Segment(Direction.SE, (0, 3), 5)
-    art = render(Layout.from_segments([seg1, seg2]), RenderSpec()).decode()
-    assert "X" in art
+    crossing = Layout.from_segments([seg1, seg2])
+    assert "X" in render(crossing, RenderSpec()).decode()
+    assert_renders_match_references(crossing)
+
+
+# -- rendering against cell-by-cell references ------------------------------
+
+
+def reference_ascii(points: dict, segments: list[Segment]) -> bytes:
+    """The ASCII render cell by cell: every connector through a per-edge
+    node mapping, then every bounding-box cell."""
+    if not points:
+        return b""
+    minx, miny, maxx, maxy = bounding_box(points)
+    width = max((len(str(v)) for v in points.values() if v != "o"), default=1)
+    width = 1 if width == 1 else max(3, width)
+    step = width + 1
+
+    nrows = 2 * (maxy - miny) + 1
+    ncols = (maxx - minx) * step + width
+    grid = [[" "] * ncols for _ in range(nrows)]
+
+    def node(x: int, y: int) -> tuple[int, int]:
+        return 2 * (maxy - y), (x - minx) * step + width - 1
+
+    for seg in segments:
+        pts = seg.points()
+        for (x1, y1), (x2, y2) in zip(pts, pts[1:]):
+            r1, c1 = node(x1, y1)
+            r2, c2 = node(x2, y2)
+            if seg.direction is Direction.E:
+                for c in range(c1 + 1, c2):
+                    grid[r1][c] = "-"
+            elif seg.direction is Direction.N:
+                grid[(r1 + r2) // 2][c1] = "|"
+            else:
+                glyph = "/" if seg.direction is Direction.NE else "\\"
+                r, c = (r1 + r2) // 2, (c1 + c2) // 2
+                grid[r][c] = "X" if grid[r][c] in "/\\" and grid[r][c] != glyph else glyph
+
+    for y in range(miny, maxy + 1):
+        for x in range(minx, maxx + 1):
+            r, c = node(x, y)
+            label = points.get((x, y))
+            if label is None:
+                grid[r][c] = "."
+            elif label == "o":
+                grid[r][c] = "o"
+            else:
+                for i, ch in enumerate(reversed(str(label))):
+                    grid[r][c - i] = ch
+
+    text = "\n".join("".join(row).rstrip() for row in grid)
+    return (text + "\n").encode()
+
+
+def reference_svg(points: dict, segments: list[Segment]) -> bytes:
+    """The SVG render with a pixel mapping per coordinate call."""
+    cell = 24
+    out = ['<?xml version="1.0" encoding="UTF-8"?>']
+    if not points:
+        out.append(f'<svg xmlns="http://www.w3.org/2000/svg" width="{cell}" height="{cell}"></svg>')
+        return ("\n".join(out) + "\n").encode()
+    minx, miny, maxx, maxy = bounding_box(points)
+    w = (maxx - minx + 2) * cell
+    h = (maxy - miny + 2) * cell
+
+    def sx(x: int) -> int:
+        return (x - minx + 1) * cell
+
+    def sy(y: int) -> int:
+        return (maxy - y + 1) * cell
+
+    out.append(
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}"'
+        f' viewBox="0 0 {w} {h}">'
+    )
+    for seg in segments:
+        (x1, y1), (x2, y2) = seg.anchor, seg.last
+        out.append(
+            f'<line x1="{sx(x1)}" y1="{sy(y1)}" x2="{sx(x2)}" y2="{sy(y2)}"'
+            f' stroke="#444" stroke-width="2"/>'
+        )
+    radius = cell * 3 // 10
+    for x, y in sorted(points):
+        if points[x, y] == "o":
+            out.append(f'<circle cx="{sx(x)}" cy="{sy(y)}" r="{radius}" fill="#222"/>')
+        else:
+            out.append(
+                f'<circle cx="{sx(x)}" cy="{sy(y)}" r="{radius}" fill="#fff"'
+                f' stroke="#222" stroke-width="2"/>'
+            )
+    for number, (x, y) in sorted(
+        (label, p) for p, label in points.items() if label != "o"
+    ):
+        out.append(
+            f'<text x="{sx(x)}" y="{sy(y)}" font-size="{cell // 2}"'
+            f' font-family="sans-serif" text-anchor="middle"'
+            f' dominant-baseline="central">{number}</text>'
+        )
+    out.append("</svg>")
+    return ("\n".join(out) + "\n").encode()
+
+
+def assert_renders_match_references(obj):
+    """``render`` equals the references, ASCII and SVG, annotated and plain,
+    with the segments in (direction, anchor) order."""
+    for annotate in (False, True):
+        points, segments = _scene(obj, annotate)
+        assert segments == sorted(segments, key=lambda s: (s.direction, s.anchor))
+        for fmt, reference in (("ascii", reference_ascii), ("svg", reference_svg)):
+            want = reference(points, segments)
+            assert render(obj, RenderSpec(fmt, annotate)) == want, (fmt, annotate)
+
+
+PLAYOUT_VARIANTS = [Variant.from_name(n) for n in ("4D", "4T", "5D", "5T", "6D", "6T")]
+
+
+@pytest.mark.parametrize("variant", PLAYOUT_VARIANTS, ids=lambda v: v.name)
+def test_playouts_render_as_the_references(variant):
+    for seed in range(10):
+        record = random_playout(variant, seed)
+        assert_renders_match_references(record)
+        # nine moves or fewer keep annotated cells one character wide
+        assert_renders_match_references(GameRecord(variant, record.moves[:9]))
+
+
+def test_layouts_and_packings_render_as_the_references():
+    for seed in range(40):
+        assert_renders_match_references(random_layout(np.random.default_rng(seed)))
+    for n in range(1, 13):
+        assert_renders_match_references(grid_packing(n))
+    assert_renders_match_references(Layout())
+
+
+def test_touching_collinear_lines_render_as_the_references():
+    """A 5T game in which two lines on one lattice line share a point."""
+    for seed in itertools.count():
+        record = random_playout(FIVE_T, seed)
+        lines = replay(record).lines
+        if any(segment_relation(a, b) == TOUCHING for a, b in itertools.combinations(lines, 2)):
+            break
+    assert_renders_match_references(record)
+
+
+def forced_board(seed: int, n: int) -> Board:
+    """``n`` random lines forced inside a 14 x 14 box, most over empty points,
+    some overlapping, on a board with only the box's corners as crosses."""
+    rng = random.Random(seed)
+    size = 14
+    moves = []
+    for _ in range(n):
+        d = rng.choice(DIRECTIONS)
+        sx, sy = d.step
+        x = rng.randrange(0, size - 4 * sx + 1)
+        y = rng.randrange(max(0, -4 * sy), size - max(0, 4 * sy) + 1)
+        i = rng.randrange(5)
+        moves.append(Move((x + i * sx, y + i * sy), d, (x, y)))
+    return Board.force(FIVE_D, moves, [(0, 0), (size, size)])
+
+
+def test_forced_boards_render_as_the_references():
+    """Lines over empty points keep the '.' of every lattice point they pass
+    over; 120 moves give three-digit labels."""
+    for seed, n in ((0, 3), (1, 9), (2, 30), (3, 120), (4, 120)):
+        board = forced_board(seed, n)
+        assert any(p not in board.crosses for s in board.lines for p in s.points())
+        assert_renders_match_references(board)
+    art = render(forced_board(3, 120), RenderSpec(annotate_moves=True)).decode()
+    assert "120" in art and "X" in art
+    # an east line over an empty point: '.' between its connectors
+    board = Board.force(FIVE_D, [Move((0, 0), Direction.E, (0, 0))], [(4, 0)])
+    assert render(board) == b"o-.-.-.-o\n"
+    assert_renders_match_references(board)
