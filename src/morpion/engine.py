@@ -31,6 +31,16 @@ before the index was built) and the move's row, which ``undo`` restores and
 lifts, and ``copy`` shares the lists.  ``Board(variant)`` copies one start
 board per variant and process; ``replay`` starts from ``Board(variant, crosses)``.
 
+Replay snapshot: :func:`replay`, and nothing else, sets a record's private
+``_replayed`` to its ``(variant, tuple(moves))`` once its last move passes.
+:func:`ensure_legal`, which ``recordio.render`` calls, replays a record
+only when that snapshot differs from the record's current variant and
+moves, so a record never replayed, or changed since, is checked again and
+fails with its 1-based move index.  A record from
+``parse_record(validate=True)``, or a search result the bound guard
+replayed, renders with no further replay.  The snapshot belongs to its
+record alone.
+
 A move can only make legal the segments through its cross that had two
 empty points.  Along each direction, the cross flags of the cross's
 ``2 * alpha - 2`` neighbours form a pattern of 0s and 1s, which fixes the
@@ -112,11 +122,21 @@ class Move(NamedTuple):
 
 @dataclass
 class GameRecord:
-    """A full game: variant, move sequence, free-form annotations."""
+    """A full game: variant, move sequence, free-form annotations.
+
+    ``_replayed`` is the replay snapshot: the ``(variant, tuple(moves))``
+    that :func:`replay` last found legal, written by it alone.  ``render``
+    replays the record when the snapshot differs from its current variant
+    and moves.  It is no constructor argument and takes no part in
+    ``repr`` or ``==``.
+    """
 
     variant: Variant
     moves: list[Move] = field(default_factory=list)
     metadata: dict[str, str] = field(default_factory=dict)
+    _replayed: tuple[Variant, tuple[Move, ...]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
 
 # a segment: (its points from the anchor, anchor offset, (direction, line key))
@@ -513,7 +533,10 @@ class Board:
 
 
 def replay(record: GameRecord) -> Board:
-    """Apply the record's moves, unindexed, from the variant's initial board.
+    """Apply the record's moves, unindexed, to a fresh board from the
+    variant's initial crosses; once the last move passes, set the record's
+    replay snapshot to its ``(variant, tuple(moves))``, which ``render``
+    then trusts until either changes.
 
     Raises :class:`IllegalMoveError` carrying the 1-based index of the first
     illegal move; no partial board escapes on failure.
@@ -524,7 +547,15 @@ def replay(record: GameRecord) -> Board:
             board.apply(move)
         except IllegalMoveError as exc:
             raise IllegalMoveError(exc.reason, move, index=i) from None
+    record._replayed = (record.variant, tuple(record.moves))
     return board
+
+
+def ensure_legal(record: GameRecord) -> None:
+    """Replay ``record``, raising as :func:`replay` does, unless its replay
+    snapshot equals its current variant and moves."""
+    if record._replayed != (record.variant, tuple(record.moves)):
+        replay(record)
 
 
 def counts_match(board: Board, n: int) -> bool:

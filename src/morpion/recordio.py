@@ -1,7 +1,9 @@
 """Game record and layout file formats, plus ASCII and SVG rendering.
 
-Both formats are line-oriented UTF-8 with LF endings and no trailing
-whitespace.  Emitters write the canonical form (metadata sorted by key,
+Both formats are line-oriented UTF-8 with LF endings.  Header, move and
+layout lines have no trailing whitespace; a metadata value is everything
+after its ``=``, so it round-trips exactly as written, trailing spaces and
+tabs included.  Emitters write the canonical form (metadata sorted by key,
 layout segments in (direction, anchor) order), so ``emit . parse`` is the
 identity on canonical text and ``parse . emit`` is the identity on values;
 metadata values are kept as strings for that reason.
@@ -26,10 +28,11 @@ byte-identical output, which is what the golden-file tests pin down.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 
-from .engine import Board, GameRecord, Move, replay
+from .engine import Board, GameRecord, Move, _start, ensure_legal, replay
 from .geometry import SUPPORTED_ALPHAS, Direction, Segment, Variant, bounding_box
 from .linecover import Layout, LayoutError, verify_layout
 
@@ -155,7 +158,9 @@ def parse_record(text: str, validate: bool = True) -> GameRecord:
 
     Raises RecordParseError (with line/column) on malformed text and, when
     ``validate`` is set, lets the engine's IllegalMoveError propagate with
-    the 1-based index of the offending move.
+    the 1-based index of the offending move.  That replay writes the
+    record's replay snapshot, so ``render`` draws the record unchanged with
+    no further replay; with ``validate=False`` the first render replays it.
     """
     lines, header = _header(text, RECORD_MAGIC, "variant", r"\S+", "<name>")
     try:
@@ -251,31 +256,51 @@ class RenderSpec:
 
 
 def _scene(obj, annotate: bool):
-    """Reduce the input to (point -> label, segments in ``Segment`` order);
-    label 'o' or move number."""
+    """Reduce the input to (point -> label, segments in ``Segment`` order,
+    the bounding box of the points and of both end points of every segment,
+    or None when there is no point); label 'o' or move number.
+
+    A record is replayed only when :func:`~morpion.engine.ensure_legal`
+    finds no replay snapshot of its current variant and moves."""
     if isinstance(obj, GameRecord):
-        obj = replay(obj)
+        ensure_legal(obj)
+        return _game_scene(_start(obj.variant).initial, obj.moves, obj.variant.alpha, annotate)
     if isinstance(obj, Board):
-        points: dict = {p: "o" for p in obj.crosses}
-        if annotate:
-            for i, mv in enumerate(obj.moves, start=1):
-                points[mv.cross] = i
-        segments = obj.lines
-    elif isinstance(obj, Layout):
-        points = {p: "o" for p in obj.points()}
-        segments = obj.lines
-    else:
-        raise TypeError(f"cannot render {type(obj).__name__} (need Board, GameRecord, or Layout)")
-    # the lines of a board or a layout share one length, so this is
-    # (direction, anchor) order
-    return points, sorted(segments)
+        return _game_scene(obj.initial, obj.moves, obj.variant.alpha, annotate)
+    if isinstance(obj, Layout):
+        # a layout's points are its lines' points, end points included
+        points = dict.fromkeys(obj.points(), "o")
+        return points, list(obj.lines), bounding_box(points) if points else None
+    raise TypeError(f"cannot render {type(obj).__name__} (need Board, GameRecord, or Layout)")
+
+
+def _game_scene(initial, moves: list[Move], alpha: int, annotate: bool):
+    """The scene of a game from its start crosses and its moves.  A forced
+    line may pass over empty points and leave the box of the crosses, so
+    each line's end points are added to the box."""
+    points: dict = dict.fromkeys(initial, "o")
+    segments = []
+    ends = []
+    n = alpha - 1
+    for i, (cross, d, anchor) in enumerate(moves, start=1):
+        points[cross] = i if annotate else "o"
+        segments.append(Segment(d, anchor, alpha))
+        sx, sy = d.step
+        ends += (anchor, (anchor[0] + n * sx, anchor[1] + n * sy))
+    box = bounding_box(itertools.chain(points, ends)) if points else None
+    # the lines share one length, so this is (direction, anchor) order
+    segments.sort()
+    return points, segments, box
 
 
 def render(obj, spec: RenderSpec | None = None) -> bytes:
     """Draw a Board, GameRecord, or Layout per the RenderSpec; deterministic bytes.
 
-    The format is checked before anything is replayed.  Raises LayoutError
-    when an ASCII grid would exceed a fixed cell cap."""
+    A record is replayed, raising IllegalMoveError with the 1-based index of
+    its first illegal move, unless its replay snapshot, written by
+    ``engine.replay`` alone, equals its current variant and moves.  The
+    format is checked before anything is replayed.  Raises LayoutError when
+    an ASCII grid would exceed a fixed cell cap."""
     spec = spec if spec is not None else RenderSpec()
     draw = _RENDERERS.get(spec.format)
     if draw is None:
@@ -283,7 +308,7 @@ def render(obj, spec: RenderSpec | None = None) -> bytes:
     return draw(*_scene(obj, spec.annotate_moves))
 
 
-def _render_ascii(points: dict, segments: list[Segment]) -> bytes:
+def _render_ascii(points: dict, segments: list[Segment], box) -> bytes:
     """Character grid: lattice points on even rows, connectors between.
 
     Unannotated cells are one character wide ('o' cross, '.' empty) with
@@ -291,15 +316,15 @@ def _render_ascii(points: dict, segments: list[Segment]) -> bytes:
     Annotated renders widen each cell so move numbers fit right-aligned on
     the lattice column.
 
-    Point ``(x, y)`` sits at row ``2 * (maxy - y)`` and column
-    ``(x - minx) * step + width - 1``.  Even rows start as copies of one
-    dotted row.  Each line, in segment order, writes its connectors at
-    those positions; then each cross or label is written over its '.' and
-    over any '-' a wide label reaches.
+    The grid spans ``box``.  Point ``(x, y)`` sits at row ``2 * (maxy - y)``
+    and column ``(x - minx) * step + width - 1``.  Even rows start as copies
+    of one dotted row.  Each line, in segment order, writes its connectors
+    at those positions; then each cross or label is written over its '.'
+    and over any '-' a wide label reaches.
     """
     if not points:
         return b""
-    minx, miny, maxx, maxy = bounding_box(points)
+    minx, miny, maxx, maxy = box
     width = max((len(str(v)) for v in points.values() if v != "o"), default=1)
     width = 1 if width == 1 else max(3, width)
     step = width + 1
@@ -351,16 +376,17 @@ def _render_ascii(points: dict, segments: list[Segment]) -> bytes:
     return (text + "\n").encode()
 
 
-def _render_svg(points: dict, segments: list[Segment]) -> bytes:
+def _render_svg(points: dict, segments: list[Segment], box) -> bytes:
     """SVG 1.1 subset: line elements (canonical order), then circles, then text.
 
-    Lattice ``(x, y)`` maps to pixel ``(x * cell + ox, oy - y * cell)``."""
+    The view spans ``box`` with a one-cell margin; lattice ``(x, y)`` maps
+    to pixel ``(x * cell + ox, oy - y * cell)``."""
     cell = _SVG_CELL
     out = ['<?xml version="1.0" encoding="UTF-8"?>']
     if not points:
         out.append(f'<svg xmlns="http://www.w3.org/2000/svg" width="{cell}" height="{cell}"></svg>')
         return ("\n".join(out) + "\n").encode()
-    minx, miny, maxx, maxy = bounding_box(points)
+    minx, miny, maxx, maxy = box
     w = (maxx - minx + 2) * cell
     h = (maxy - miny + 2) * cell
     ox = (1 - minx) * cell

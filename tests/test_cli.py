@@ -84,12 +84,17 @@ def test_verify_golden_record(capsys):
     assert out.splitlines()[-1] == "verify: PASS"
 
 
-def test_verify_prefix_record_matches_golden(capsys, tmp_path):
+def greedy_prefix20(tmp_path) -> Path:
+    """A record file of the first 20 moves of the golden greedy game."""
     lines = (GOLDEN / "greedy_5d_seed1.rec").read_text().splitlines()
     cut = next(i for i, line in enumerate(lines) if line.startswith("21 "))
     path = tmp_path / "prefix.rec"
     path.write_text("\n".join(lines[:cut]) + "\n")
-    code, out, _ = run(capsys, "verify", str(path))
+    return path
+
+
+def test_verify_prefix_record_matches_golden(capsys, tmp_path):
+    code, out, _ = run(capsys, "verify", str(greedy_prefix20(tmp_path)))
     assert code == 0
     assert out == (GOLDEN / "cli_verify_greedy_prefix20.out").read_text()
     assert "terminal lemma: skipped (board not terminal)" in out
@@ -305,10 +310,13 @@ def test_line_length_3_records_still_replay(capsys, tmp_path, command):
     assert out
 
 
-def test_replay_summarizes_board(capsys):
+def test_replay_summarizes_board(capsys, tmp_path):
     code, out, _ = run(capsys, "replay", str(GOLDEN / "greedy_5d_seed1.rec"))
     assert code == 0
     assert out == "replayed 53 moves: crosses=89 lines=53 terminal=yes\n"
+    code, out, _ = run(capsys, "replay", str(greedy_prefix20(tmp_path)))
+    assert code == 0
+    assert out == "replayed 20 moves: crosses=56 lines=20 terminal=no\n"
 
 
 def test_render_record_matches_annotated_golden(capsys):

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from morpion import engine, recordio
 from morpion.engine import Board, GameRecord, IllegalMoveError, Move, _geometry, replay
 from morpion.geometry import (
     DIRECTIONS,
@@ -33,7 +34,7 @@ from morpion.recordio import (
     parse_record,
     render,
 )
-from morpion.solver import greedy, random_playout
+from morpion.solver import beam_search, greedy, nmcs, random_playout
 
 from conftest import HUGE, OVERSIZED_FIELDS, random_layout
 
@@ -72,10 +73,13 @@ def test_golden_record_roundtrips_byte_identically():
 
 
 def test_metadata_is_sorted_and_validated():
-    record = GameRecord(FIVE_D, [], {"zeta": "1", "alpha": "two words ok"})
-    text = emit_record(record)
+    # values are written as they are: a trailing space or a tab round-trips
+    values = {"zeta": "1", "alpha": "two words ok", "pad": "v ", "tab": "a\tb"}
+    text = emit_record(GameRecord(FIVE_D, [], values))
     assert text.index("alpha") < text.index("zeta")
-    assert parse_record(text).metadata == {"alpha": "two words ok", "zeta": "1"}
+    assert "\n# pad=v \n" in text
+    assert parse_record(text).metadata == values
+    assert emit_record(parse_record(text)) == text
     with pytest.raises(ValueError):
         emit_record(GameRecord(FIVE_D, [], {"bad key": "x"}))
     with pytest.raises(ValueError):
@@ -163,7 +167,7 @@ def test_parse_errors_name_line_and_column():
         parse_record(bad_variant)
     assert err.value.line == 1
 
-    # trailing whitespace is rejected, naming the spot
+    # a doubled space after a move index is rejected
     padded = good.replace("\n1 ", "\n1  ", 1)
     with pytest.raises(RecordParseError):
         parse_record(padded)
@@ -458,15 +462,167 @@ def test_ascii_marks_crosses_lines_and_diagonal_crossings():
     assert_renders_match_references(crossing)
 
 
+# -- the replay snapshot: render replays only what no replay has seen ---------
+
+
+@pytest.fixture
+def replays(monkeypatch):
+    """The records ``parse_record`` and ``render`` replay during the test."""
+    seen = []
+
+    def counted(record):
+        seen.append(record)
+        return replay(record)
+
+    for module in (engine, recordio):
+        monkeypatch.setattr(module, "replay", counted)
+    return seen
+
+
+ALL_SPECS = [RenderSpec(fmt, annotate) for fmt in ("ascii", "svg") for annotate in (False, True)]
+
+
+def test_a_parsed_record_renders_with_no_further_replay(replays):
+    text = emit_record(random_playout(FIVE_D, 6))
+    record = parse_record(text)
+    assert len(replays) == 1
+    for spec in ALL_SPECS:
+        assert render(record, spec) == render(Board.force(FIVE_D, record.moves, initial_crosses(5)), spec)
+    assert len(replays) == 1
+    assert [render(record, spec) for spec in ALL_SPECS] == [
+        render(replay(record), spec) for spec in ALL_SPECS
+    ]
+    # unvalidated, the same text is replayed on its first render only
+    unchecked = parse_record(text, validate=False)
+    assert render(unchecked) == render(record) == render(unchecked)
+    assert len(replays) == 2 and replays[1] is unchecked
+
+
+def test_a_hand_built_record_is_replayed_on_its_first_render(replays):
+    moves = random_playout(FIVE_D, 6).moves
+    record = GameRecord(FIVE_D, list(moves))
+    first = render(record)
+    assert replays == [record]
+    assert render(record, RenderSpec("svg")) == render(replay(record), RenderSpec("svg"))
+    assert first == render(replay(record)) and len(replays) == 1
+    illegal = GameRecord(FIVE_D, [*moves[:4], moves[0]])
+    with pytest.raises(IllegalMoveError) as err:
+        render(illegal, RenderSpec("svg"))
+    assert err.value.index == 5 and err.value.reason.startswith("(a)")
+
+
+def test_a_record_changed_after_its_replay_is_replayed_again(replays):
+    """Appending, replacing a move and switching the variant each void the
+    snapshot: render replays and raises at the first illegal move, or draws
+    the new legal game."""
+    record = parse_record(emit_record(random_playout(FIVE_D, 6)))
+    n = len(record.moves)
+    record.moves.append(record.moves[0])
+    with pytest.raises(IllegalMoveError) as err:
+        render(record)
+    assert err.value.index == n + 1
+    record.moves.pop()
+    before = render(record)  # the snapshot still holds the popped-back moves
+    assert len(replays) == 2
+
+    k = n // 2
+    original = record.moves[k]
+    record.moves[k] = record.moves[k - 1]
+    with pytest.raises(IllegalMoveError) as err:
+        render(record, RenderSpec("svg"))
+    assert err.value.index == k + 1 and len(replays) == 3
+    # another legal last move draws the new game
+    record.moves[k] = original
+    last = record.moves[-1]
+    board = replay(GameRecord(FIVE_D, record.moves[:-1]))
+    other = next(m for m in board.legal_moves() if m != last)
+    record.moves[-1] = other
+    assert render(record) == render(board.apply(other)) != before
+    assert len(replays) == 4
+
+    # every 5D game is a legal 5T game, drawn the same
+    record.moves[-1] = last
+    record.variant = FIVE_T
+    assert render(record) == before and len(replays) == 5
+    assert render(record) == before and len(replays) == 5
+
+
+def first_illegal(variant: Variant, moves: list[Move]) -> int | None:
+    """The 1-based index of the first of ``moves`` illegal under ``variant``."""
+    board = Board(variant, initial_crosses(variant.alpha))
+    for i, move in enumerate(moves, start=1):
+        if board.legality_failure(move) is not None:
+            return i
+        board.apply(move)
+    return None
+
+
+def test_a_variant_switch_that_makes_a_move_illegal_is_caught(replays):
+    for seed in itertools.count():
+        record = random_playout(FIVE_T, seed)
+        touch = first_illegal(FIVE_D, record.moves)
+        if touch is not None:
+            break
+    image = render(record)
+    assert replays == []
+    record.variant = FIVE_D
+    with pytest.raises(IllegalMoveError) as err:
+        render(record)
+    assert err.value.index == touch and "touches" in err.value.reason
+    # the failed replay wrote no snapshot, so the 5T one still holds
+    record.variant = FIVE_T
+    assert render(record) == image and len(replays) == 1
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda: nmcs(FIVE_D, 1, 0).best_record,
+        lambda: beam_search(FIVE_D, 4, 0).best_record,
+        lambda: greedy(FIVE_D, 1).best_record,
+        lambda: random_playout(FIVE_D, 9),
+    ],
+    ids=["nmcs", "beam_search", "greedy", "random_playout"],
+)
+def test_search_results_render_with_no_replay(replays, search):
+    record = search()
+    art = [render(record, spec) for spec in ALL_SPECS]
+    assert replays == []
+    assert art == [render(replay(record), spec) for spec in ALL_SPECS]
+    record.moves.append(record.moves[0])
+    with pytest.raises(IllegalMoveError) as err:
+        render(record)
+    assert err.value.index == len(record.moves) and replays == [record]
+
+
+def test_the_replay_snapshot_is_not_part_of_equality_or_repr(replays):
+    text = emit_record(random_playout(FIVE_D, 3))
+    checked = parse_record(text)
+    unchecked = parse_record(text, validate=False)
+    plain = GameRecord(checked.variant, checked.moves, checked.metadata)
+    assert checked._replayed is not None and unchecked._replayed is None
+    for _ in range(2):
+        assert checked == unchecked == plain
+        assert repr(checked) == repr(unchecked) == repr(plain)
+        # rendering both replays the unvalidated record only, and the
+        # snapshot it writes leaves == and repr as they were
+        assert render(checked) == render(unchecked)
+        assert replays == [checked, unchecked]
+    assert "_replayed" not in repr(checked)
+    with pytest.raises(TypeError):
+        GameRecord(FIVE_D, [], {}, checked._replayed)
+
+
 # -- rendering against cell-by-cell references ------------------------------
 
 
 def reference_ascii(points: dict, segments: list[Segment]) -> bytes:
     """The ASCII render cell by cell: every connector through a per-edge
-    node mapping, then every bounding-box cell."""
+    node mapping, then every cell of the box of the points and the
+    segments' points."""
     if not points:
         return b""
-    minx, miny, maxx, maxy = bounding_box(points)
+    minx, miny, maxx, maxy = bounding_box([*points, *(p for s in segments for p in s.points())])
     width = max((len(str(v)) for v in points.values() if v != "o"), default=1)
     width = 1 if width == 1 else max(3, width)
     step = width + 1
@@ -516,7 +672,7 @@ def reference_svg(points: dict, segments: list[Segment]) -> bytes:
     if not points:
         out.append(f'<svg xmlns="http://www.w3.org/2000/svg" width="{cell}" height="{cell}"></svg>')
         return ("\n".join(out) + "\n").encode()
-    minx, miny, maxx, maxy = bounding_box(points)
+    minx, miny, maxx, maxy = bounding_box([*points, *(p for s in segments for p in s.points())])
     w = (maxx - minx + 2) * cell
     h = (maxy - miny + 2) * cell
 
@@ -561,7 +717,7 @@ def assert_renders_match_references(obj):
     """``render`` equals the references, ASCII and SVG, annotated and plain,
     with the segments in (direction, anchor) order."""
     for annotate in (False, True):
-        points, segments = _scene(obj, annotate)
+        points, segments, _ = _scene(obj, annotate)
         assert segments == sorted(segments, key=lambda s: (s.direction, s.anchor))
         for fmt, reference in (("ascii", reference_ascii), ("svg", reference_svg)):
             want = reference(points, segments)
@@ -626,4 +782,32 @@ def test_forced_boards_render_as_the_references():
     # an east line over an empty point: '.' between its connectors
     board = Board.force(FIVE_D, [Move((0, 0), Direction.E, (0, 0))], [(4, 0)])
     assert render(board) == b"o-.-.-.-o\n"
+    assert_renders_match_references(board)
+
+
+# a forced line with its cross inside the box of the crosses (0, 0) and
+# (6, 6), leaving the box through each side
+LEAVING_LINES = {
+    "top": Move((3, 6), Direction.N, (3, 6)),
+    "right": Move((4, 3), Direction.E, (4, 3)),
+    "bottom": Move((3, 0), Direction.N, (3, -4)),
+    "left": Move((0, 2), Direction.E, (-2, 2)),
+    "top-right": Move((4, 4), Direction.NE, (4, 4)),
+    "bottom-right": Move((4, 2), Direction.SE, (4, 2)),
+}
+
+
+@pytest.mark.parametrize("move", LEAVING_LINES.values(), ids=LEAVING_LINES.keys())
+def test_a_forced_line_leaving_the_crosses_box_is_drawn_whole(move):
+    """Both formats span the crosses and every point of every line."""
+    board = Board.force(FIVE_D, [move], [(0, 0), (6, 6)])
+    minx, miny, maxx, maxy = bounding_box([*board.crosses, *board.lines[0].points()])
+    rows = render(board).decode().splitlines()
+    assert len(rows) == 2 * (maxy - miny) + 1
+    assert max(map(len, rows)) == 2 * (maxx - minx) + 1
+    glyph = {Direction.E: "-", Direction.N: "|", Direction.NE: "/", Direction.SE: "\\"}
+    assert "".join(rows).count(glyph[move.direction]) == 4
+    svg = render(board, RenderSpec("svg")).decode()
+    w, h = (maxx - minx + 2) * 24, (maxy - miny + 2) * 24
+    assert f'viewBox="0 0 {w} {h}"' in svg
     assert_renders_match_references(board)
