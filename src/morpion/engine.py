@@ -28,8 +28,10 @@ one empty point is the new cross and the moves the drawn line conflicts
 with) and inserts the moves the new cross makes legal.  A published list is
 never mutated: the undo trail keeps, per move, the parent's list (``None``
 before the index was built) and the move's row, which ``undo`` restores and
-lifts, and ``copy`` shares the lists.  ``Board(variant)`` copies one start
-board per variant and process; ``replay`` starts from ``Board(variant, crosses)``.
+lifts, and ``copy`` shares the lists.  ``Board.force`` plays through
+``_play`` too, unchecked, so a forced move can be undone like any other.
+``Board(variant)`` copies one start board per variant and process;
+``replay`` starts from ``Board(variant, crosses)``.
 
 Replay snapshot: :func:`replay`, and nothing else, sets a record's private
 ``_replayed`` to its ``(variant, tuple(moves))`` once its last move passes.
@@ -284,15 +286,12 @@ class Board:
         moves: Iterable[Move],
         crosses: Iterable[Point] = (),
     ) -> "Board":
-        """Build a board by playing ``moves`` with every legality check
-        bypassed, to exercise the analysis monitors on rule-violating
-        positions.  The board has no undo trail."""
+        """Build a board by playing ``moves`` through ``_play`` with every
+        legality check bypassed, for the analysis monitors on rule-violating
+        positions; a forced move can be undone like any other."""
         board = cls(variant, crosses)
         for move in moves:
-            board.crosses.add(move.cross)
-            row = line_row(move.direction, move.anchor, variant.alpha)
-            place_line(board._line_offsets, board.cover_count, row)
-            board.moves.append(move)
+            board._play((move, line_row(move.direction, move.anchor, variant.alpha)))
         return board
 
     # -- queries ---------------------------------------------------------
@@ -378,7 +377,7 @@ class Board:
 
     def undo(self) -> "Board":
         if not self._trail:
-            raise IndexError("undo with no move to undo (forced moves cannot be undone)")
+            raise IndexError("undo with no move to undo")
         self._legal, row = self._trail.pop()
         move = self.moves.pop()
         if self._legal is not None:
@@ -495,8 +494,8 @@ class Board:
         assert {k: sorted(v) for k, v in offsets.items()} == self._line_offsets, (
             "line offsets out of sync"
         )
-        first = len(self.moves) - len(self._trail)  # forced moves have no trail
-        for (parent, row), m, seg in zip(self._trail, self.moves[first:], lines[first:]):
+        assert len(self._trail) == len(self.moves), "undo trail out of sync"
+        for (parent, row), m, seg in zip(self._trail, self.moves, lines):
             assert row == (seg.points(), seg.offset, (seg.direction, seg.key)), (
                 f"trail row of move {m} out of sync"
             )

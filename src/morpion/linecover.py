@@ -11,7 +11,8 @@ score.
 The layout searches test disjointness with the engine's D-rule test,
 :func:`~morpion.geometry.conflicts`, over maps its bookkeeper
 :func:`~morpion.geometry.place_line`/``lift_line`` keeps; :func:`verify_layout`
-keeps the pairwise :func:`~morpion.geometry.segment_relation` as the reference.
+compares each line with the next on its lattice line by anchor offset and
+calls :func:`~morpion.geometry.segment_relation` only to name the offence.
 
 The bound ladder:
 
@@ -47,6 +48,7 @@ import bisect
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Iterable, Mapping
 
 from .geometry import (
@@ -267,9 +269,11 @@ def min_cover_exact(
     # written so that NaN fails too: no node count ever passes a NaN budget
     if not node_budget >= 0:
         raise ValueError("node budget must be >= 0")
-    counts = {d: int(n_per_direction.get(d, 0)) for d in DIRECTIONS}
-    if any(c < 0 for c in counts.values()):
-        raise ValueError("line counts must be nonnegative")
+    counts = {d: n_per_direction.get(d, 0) for d in DIRECTIONS}
+    if any(d not in counts for d in n_per_direction):
+        raise ValueError(f"line counts keyed by {list(n_per_direction)!r}, not all directions")
+    if not all(isinstance(c, Integral) and c >= 0 for c in counts.values()):
+        raise ValueError(f"line counts must be nonnegative integers, not {list(counts.values())!r}")
     if window < 1:
         raise ValueError("window must be positive")
     total = sum(counts.values())

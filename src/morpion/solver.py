@@ -12,8 +12,8 @@ whether its transposition table answers it or the move is applied, and
 random playouts and sweeps count the moves their games play.  Wall-clock
 budgets are honored but a run that stops on time rather than nodes is not
 guaranteed to be reproducible.  A negative or NaN node or time budget, a
-negative seed, or line length 3 (3D/3T games can go on without end) raises
-``ValueError``.
+negative seed, an NMCS level that is not a nonnegative integer, or line
+length 3 (3D/3T games can go on without end) raises ``ValueError``.
 
 Every record leaving this module from the standard start passes a bound
 guard: it must replay legally to N plus the initial crosses (36 for 5D/5T,
@@ -29,6 +29,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+from numbers import Integral
 from operator import itemgetter, or_
 from typing import Callable
 
@@ -93,10 +94,14 @@ def check_record_bounds(record: GameRecord, board: Board | None = None) -> Board
     return board
 
 
-def record_from_board(board: Board, **metadata: str) -> GameRecord:
-    record = GameRecord(board.variant, list(board.moves), dict(metadata))
-    check_record_bounds(record, board)
-    return record
+def _result(
+    variant: Variant, moves: list[Move], metadata: dict, nodes: int, t0: float, reason: str
+) -> SearchResult:
+    """A search's result from the standard start, its record once through
+    the full-replay guard."""
+    record = GameRecord(variant, list(moves), metadata)
+    check_record_bounds(record)
+    return SearchResult(record, nodes, time.perf_counter() - t0, reason)
 
 
 # -- random playouts -------------------------------------------------------
@@ -121,7 +126,7 @@ def random_playout(variant: Variant, seed: int) -> GameRecord:
     """One uniformly random game, reproducible from the seed."""
     _check_search(variant)
     board = _playout(Board(variant), rng_stream(seed))
-    record = record_from_board(board, strategy="random", seed=str(seed))
+    record = GameRecord(variant, board.moves, {"strategy": "random", "seed": str(seed)})
     check_record_bounds(record)
     return record
 
@@ -173,14 +178,8 @@ def playout_sweep(
     else:
         chunks = [_sweep_chunk(variant, seed, 0, playouts)]
     _, best_stream, best_moves, _ = max(chunks, key=lambda c: (c[0], -c[1]))
-    record = GameRecord(
-        variant,
-        best_moves,
-        {"strategy": "random", "seed": str(seed), "stream": str(best_stream)},
-    )
-    check_record_bounds(record)
-    nodes = sum(c[3] for c in chunks)
-    return SearchResult(record, nodes, time.perf_counter() - t0)
+    metadata = {"strategy": "random", "seed": str(seed), "stream": str(best_stream)}
+    return _result(variant, best_moves, metadata, sum(c[3] for c in chunks), t0, "complete")
 
 
 # -- beam search ------------------------------------------------------------
@@ -236,9 +235,8 @@ def beam_search(
             break
         nodes += len(candidates)
         beam = [beam[bi].copy().apply(m) for _, bi, m in candidates[:width]]
-    record = record_from_board(beam[0], strategy="beam", seed=str(seed), width=str(width))
-    check_record_bounds(record)
-    return SearchResult(record, nodes, time.perf_counter() - t0, reason)
+    metadata = {"strategy": "beam", "seed": str(seed), "width": str(width)}
+    return _result(variant, beam[0].moves, metadata, nodes, t0, reason)
 
 
 def greedy(variant: Variant, seed: int = 0) -> SearchResult:
@@ -332,8 +330,8 @@ def nmcs(
     Nodes count each candidate tried and each playout move.  A budget spent
     before any game ends reports the deepest position reached.
     """
-    if level < 0:
-        raise ValueError("level must be >= 0")
+    if not isinstance(level, Integral) or level < 0:
+        raise ValueError(f"level must be an integer >= 0, not {level!r}")
     _check_search(variant, node_budget, time_budget)
     t0 = time.perf_counter()
     state = _Nmcs(variant, seed, node_budget, time_budget, stop_score)
@@ -342,13 +340,8 @@ def nmcs(
         state.search(Board(variant), level)
     except _Stop as stop:
         reason = stop.reason
-    record = GameRecord(
-        variant,
-        state.best_moves,
-        {"strategy": "nmcs", "seed": str(seed), "level": str(level)},
-    )
-    check_record_bounds(record)
-    return SearchResult(record, state.nodes, time.perf_counter() - t0, reason)
+    metadata = {"strategy": "nmcs", "seed": str(seed), "level": str(level)}
+    return _result(variant, state.best_moves, metadata, state.nodes, t0, reason)
 
 
 # -- exhaustive search ------------------------------------------------------

@@ -261,12 +261,25 @@ def test_undo_on_fresh_board_fails():
         Board(FIVE_D).undo()
 
 
-def test_undo_on_a_forced_board_says_forced_moves_cannot_be_undone():
-    board = Board.force(FIVE_D, [Move((5, 0), Direction.E, (1, 0))], [(x, 0) for x in range(1, 5)])
-    assert board.score == 1
-    with pytest.raises(IndexError, match="no move to undo .forced moves cannot be undone"):
+def test_undo_takes_back_every_forced_move():
+    """Forced moves play through ``_play``, so each one undoes like any
+    other, overlapping lines included."""
+    start = [(x, 0) for x in range(1, 5)]
+    moves = [
+        Move((5, 0), Direction.E, (1, 0)),
+        Move((6, 0), Direction.E, (2, 0)),  # overlaps the first line
+        Move((3, 1), Direction.N, (3, -3)),  # covers three empty points
+    ]
+    board = Board.force(FIVE_D, moves, start)
+    for k in reversed(range(len(moves))):
         board.undo()
-    assert board.score == 1 and board.cover_count == {(x, 0): 1 for x in range(1, 6)}
+        ref = Board.force(FIVE_D, moves[:k], start)
+        assert (board.moves, board.crosses, board.cover_count, board._line_offsets) == (
+            ref.moves, ref.crosses, ref.cover_count, ref._line_offsets
+        )
+    assert board.crosses == set(start) and board.cover_count == {} and board._line_offsets == {}
+    with pytest.raises(IndexError, match="no move to undo"):
+        board.undo()
 
 
 def test_state_key_merges_transposed_orders():

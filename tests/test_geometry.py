@@ -206,3 +206,8 @@ def test_initial_crosses_run_lengths():
     pts = set(initial_crosses(5))
     run = [(x, 0) for x in range(3, 7)]
     assert all(p in pts for p in run) and (2, 0) not in pts and (7, 0) not in pts
+
+
+def test_bounding_box_of_no_points_is_an_error():
+    with pytest.raises(ValueError, match="no bounding box"):
+        bounding_box([])

@@ -63,6 +63,8 @@ def test_lemma_min_cover_bound_values():
     assert lemma_min_cover_bound(0) == 9
     assert lemma_min_cover_bound(1) == 34
     assert lemma_min_cover_bound(2) == 59
+    with pytest.raises(ValueError, match="k must be nonnegative"):
+        lemma_min_cover_bound(-1)
 
 
 def test_combined_lower_rule_selection():
@@ -104,6 +106,8 @@ def test_scan_table_rejects_an_empty_rule_set():
         scan_table(frozenset(), 10)
     with pytest.raises(ValueError, match="rule set is empty"):
         infeasibility_scan(frozenset(), 10)
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        scan_table(AB, 0)
 
 
 # -- layouts -----------------------------------------------------------------
@@ -249,6 +253,9 @@ def oracle_min_cover(n_per_direction, window, alpha=5):
 def test_single_line_covers_alpha_points():
     assert min_cover_exact({Direction.E: 1}, window=5) == 5
     assert min_cover_exact({Direction.NE: 1}, window=6) == 5
+    assert min_cover_exact({Direction.E: np.int64(1)}, window=5) == 5
+    # no lines cover no points
+    assert min_cover_exact({}, window=5) == min_cover_exact({Direction.N: 0}, window=5) == 0
 
 
 def test_two_direction_pairs_match_oracle_and_lemma():
@@ -290,6 +297,25 @@ def test_exact_search_rejects_a_budget_no_count_can_meet(budget):
         min_cover_exact({Direction.E: 3, Direction.N: 3}, 10, node_budget=budget)
 
 
+@pytest.mark.parametrize(
+    "counts, window, message",
+    [
+        # string keys are not directions; read as absent they would give 0
+        ({"E": 1, "N": 1}, 5, "not all directions"),
+        # truncated to 1, a count of 1.9 would give the answer for 1 + 1
+        ({Direction.E: 1.9, Direction.N: 1}, 5, "must be nonnegative integers"),
+        ({Direction.E: 1.0}, 5, "must be nonnegative integers"),
+        ({Direction.E: -1}, 5, "must be nonnegative integers"),
+        ({Direction.E: 1}, 0, "window must be positive"),
+        # two disjoint collinear rows cannot both fit one anchor
+        ({Direction.E: 2}, 1, "no valid placement"),
+    ],
+)
+def test_exact_search_rejects_counts_it_cannot_answer(counts, window, message):
+    with pytest.raises(ValueError, match=message):
+        min_cover_exact(counts, window)
+
+
 @pytest.mark.parametrize("window, nodes", [(5, 650), (6, 1332), (7, 2450)])
 def test_exact_search_budget_holds_whatever_the_cache_holds(monkeypatch, window, nodes):
     # each search estimates window**4 placements, under its node count
@@ -321,6 +347,11 @@ def test_counting_replay_rejects_wrong_line_counts():
     layout = two_direction_layout(rng, Direction.E, Direction.N, 0)
     with pytest.raises(ValueError):
         lemma_counting_replay(layout, Direction.E, Direction.SE)
+    with pytest.raises(ValueError, match="must differ"):
+        lemma_counting_replay(layout, Direction.E, Direction.E)
+    twice = Layout.from_segments([*layout.lines, layout.lines[0]])
+    with pytest.raises(LayoutError, match="same-direction segments"):
+        lemma_counting_replay(twice, Direction.E, Direction.N)
 
 
 @pytest.mark.parametrize("alpha", [4, 6])
@@ -390,6 +421,8 @@ def test_packing_search_rectangles():
 def test_packing_search_rejects_unknown_family():
     with pytest.raises(ValueError):
         packing_search("hexagon", range(4, 6), range(4, 6))
+    with pytest.raises(ValueError, match="ranges must be nonempty"):
+        packing_search("rectangle", range(8, 8), range(8, 13))
 
 
 @pytest.mark.parametrize("cuts", [(3, (1, 2, 3, 4)), (), (0, 1), [(0, 0, 0, 1)]])

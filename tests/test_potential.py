@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from morpion import potential
 from morpion.cli import main
 from morpion.engine import Board, GameRecord, Move
 from morpion.geometry import FIVE_D, FIVE_T, Direction
@@ -113,6 +114,12 @@ def test_terminal_lemma_preconditions():
         check_terminal_lemma(board)  # not terminal
     with pytest.raises(ValueError):
         check_terminal_lemma(Board(FIVE_T))  # wrong variant
+    # one forced move leaves no legal move: terminal, but too short
+    row = [(0, 0), (1, 0), (3, 0), (4, 0)]
+    short = Board.force(FIVE_D, [Move((2, 0), Direction.E, (0, 0))], row)
+    assert not short.has_legal_moves()
+    with pytest.raises(ValueError, match="at least 3 moves"):
+        check_terminal_lemma(short)
 
 
 def random_game(variant, seed):
@@ -169,6 +176,16 @@ def test_pre_move_floor():
     # the monitors are 5D-only: a 5T record is replayed but not monitored
     result = verify_record(random_game(FIVE_T, 4))
     assert result.potential is None and result.terminal is None
+
+
+def test_verify_record_reaches_the_pre_move_floor(monkeypatch):
+    """After a legal replay the 144 - N identity implies the floor, so only a
+    floor above the start's 144 makes the check fire."""
+    monkeypatch.setattr(potential, "PRE_MOVE_FLOOR", 145)
+    with pytest.raises(MonitorFailure) as err:
+        verify_record(random_game(FIVE_D, 4))
+    assert err.value.check == "pre-move floor"
+    assert str(err.value) == "total < 145 before move 1"
 
 
 def test_verify_record_catches_a_cover_count_corrupted_off_the_move(monkeypatch):

@@ -11,6 +11,7 @@ import hashlib
 import os
 from operator import or_
 
+import numpy as np
 import pytest
 
 from morpion.engine import Board, GameRecord, Move, replay
@@ -96,6 +97,8 @@ def test_playout_sweep_starts_at_most_one_process_per_cpu(monkeypatch):
     for workers in (0, -1):
         with pytest.raises(ValueError, match="workers"):
             playout_sweep(FIVE_D, 9, 12, workers=workers)
+    with pytest.raises(ValueError, match="playouts must be >= 1"):
+        playout_sweep(FIVE_D, 9, 0)
 
 
 def test_playout_sweep_best_matches_individual_streams():
@@ -133,6 +136,8 @@ def test_greedy_equals_width_one_beam():
     assert g.best_score == b1.best_score == 55  # pinned on seed 0
     assert g.best_record.moves == b1.best_record.moves
     assert_well_formed(g.best_record)
+    with pytest.raises(ValueError, match="beam width must be >= 1"):
+        beam_search(FIVE_D, 0, 0)
 
 
 def test_beam_width_dominance_pin():
@@ -304,8 +309,11 @@ def test_zero_budgets_stop_at_once():
 def test_nmcs_level_zero_is_a_playout():
     r = nmcs(FIVE_D, 0, 6)
     assert r.best_score == len(random_playout(FIVE_D, 6).moves)
-    with pytest.raises(ValueError):
-        nmcs(FIVE_D, -1, 0)
+    assert nmcs(FIVE_D, np.int64(0), 6).best_record == r.best_record
+    # a fractional level would never reach 0 and nest to the end of every game
+    for level in (-1, 1.5, 1.0, "1"):
+        with pytest.raises(ValueError, match="level must be an integer >= 0"):
+            nmcs(FIVE_D, level, 0, node_budget=3000)
 
 
 def tiny_board(crosses):
